@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
                     "commits/s", "cold-recovery-ms", "replayed-txns"});
 
   for (const std::size_t percent : {0u, 1u, 10u}) {
-    const auto dir = base / ("f" + std::to_string(percent));
+    auto dir = base / "f";
+    dir += std::to_string(percent);
     const auto outcome = run_rate(dir, percent);
     const double commits_per_s =
         1000.0 * static_cast<double>(outcome.acked) / outcome.elapsed_ms;

@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
                     "commits/s", "wal-KiB", "recovery-ms", "replayed-txns"});
 
   for (const std::size_t sessions : {1u, 4u, 16u}) {
-    const auto dir = base / ("k" + std::to_string(sessions));
+    auto dir = base / "k";
+    dir += std::to_string(sessions);
     db::EngineOptions options;
     options.directory = dir.string();
     options.compact_after_bytes = 0;  // keep the whole log for recovery

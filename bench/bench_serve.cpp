@@ -2,11 +2,14 @@
 // snapshot query path.
 //
 // Part 1, the WAL discipline itself: 64 committing sessions (threads)
-// hammer one persistent engine E11-style.  Classic mode pays one fsync
-// per commit, serialized on the WAL tail; a batch window lets one
-// leader fsync for everyone who arrived in time.  The headline metric —
-// the speedup group commit buys at 64 sessions — is measured here, at
-// the engine, where the fsync discipline is the only variable.
+// hammer one persistent engine E11-style.  Every commit rides a batch;
+// classic mode (window 0) makes each batch a batch of one, so it pays
+// one fsync per commit, serialized on the WAL tail, while a batch window
+// lets one leader fsync for everyone who arrived in time.  The headline
+// metric — the speedup group commit buys at 64 sessions — is measured
+// here, at the engine, where the fsync discipline is the only variable.
+// fsyncs per commit (batches / commits) is the deterministic side of the
+// same contrast: exactly 1 for classic, gated in every mode.
 //
 // Part 2, end to end: the same contrast through the full server stack
 // (admission, per-session FIFOs, worker pool, appvm command
@@ -51,6 +54,7 @@ struct RunResult {
   std::uint64_t batches = 0;
   std::uint64_t max_batch = 0;
   double commits_per_s = 0.0;
+  double fsyncs_per_commit = 0.0;  ///< batch fsyncs / commits
   double query_us_kind = 0.0;
   double query_us_scan = 0.0;
 };
@@ -67,7 +71,7 @@ db::EngineOptions engine_options(const std::filesystem::path& dir,
 
 /// Part 1: `sessions` threads commit straight against the engine, each
 /// an unconditional 256-byte store over a private name pool; window == 0 is
-/// the classic one-fsync-per-commit discipline.
+/// the classic one-fsync-per-commit discipline (every batch a batch of one).
 RunResult run_wal(const std::filesystem::path& dir, std::size_t sessions,
                   std::chrono::microseconds window) {
   db::Engine engine(engine_options(dir, window));
@@ -97,6 +101,8 @@ RunResult run_wal(const std::filesystem::path& dir, std::size_t sessions,
   result.max_batch = stats.group_max_batch;
   result.commits_per_s =
       1000.0 * static_cast<double>(result.commits) / result.elapsed_ms;
+  result.fsyncs_per_commit = static_cast<double>(result.batches) /
+                             static_cast<double>(result.commits);
   return result;
 }
 
@@ -173,6 +179,8 @@ RunResult run_serve(const std::filesystem::path& dir, std::size_t sessions,
   result.max_batch = stats.group_max_batch;
   result.commits_per_s =
       1000.0 * static_cast<double>(result.commits) / result.elapsed_ms;
+  result.fsyncs_per_commit = static_cast<double>(result.batches) /
+                             static_cast<double>(result.commits);
 
   // Part 3: snapshot reads on the populated store (caller's thread).
   db::QueryFilter by_kind;
@@ -206,7 +214,8 @@ void table_row(support::Table& table, std::size_t sessions,
       .cell(result.elapsed_ms, 1)
       .cell(result.commits_per_s, 0)
       .cell(result.batches)
-      .cell(result.max_batch);
+      .cell(result.max_batch)
+      .cell(result.fsyncs_per_commit, 3);
 }
 
 }  // namespace
@@ -225,7 +234,8 @@ int main(int argc, char** argv) {
   // --- Part 1: the WAL discipline at the engine -------------------------
   support::Table wal_table("engine commit throughput, 64 committing sessions");
   wal_table.set_header({"sessions", "mode", "commits", "elapsed-ms",
-                        "commits/s", "batches", "max-batch"});
+                        "commits/s", "batches", "max-batch",
+                        "fsyncs/commit"});
   // Best of N repeats: on a small shared host a single short run is at
   // the mercy of scheduler and device noise.
   auto best_wal = [&base](const std::string& tag,
@@ -251,12 +261,17 @@ int main(int argc, char** argv) {
   bench::note("wal_commits_per_s_s64_grouped", wal_grouped.commits_per_s,
               "commits/s");
   bench::note("group_speedup_s64", wal_speedup, "x");
+  bench::note("wal_fsyncs_per_commit_s64_classic",
+              wal_classic.fsyncs_per_commit, "fsyncs/commit");
+  bench::note("wal_fsyncs_per_commit_s64_grouped",
+              wal_grouped.fsyncs_per_commit, "fsyncs/commit");
   std::cout << "\n";
 
   // --- Part 2: end to end through the server ----------------------------
   support::Table serve_table("server commit throughput, pipelined clients");
   serve_table.set_header({"sessions", "mode", "commits", "elapsed-ms",
-                          "commits/s", "batches", "max-batch"});
+                          "commits/s", "batches", "max-batch",
+                          "fsyncs/commit"});
   const auto serve_16 = run_serve(base / "serve_s16_grouped", 16, kWindow);
   const auto serve_grouped = run_serve(base / "serve_s64_grouped", kSessions,
                                        kWindow);
@@ -287,6 +302,14 @@ int main(int argc, char** argv) {
                "per-command CPU narrows that to " << serve_speedup
             << "x\non this host; the queries ride the snapshot path and "
                "never block.\n";
+  // Deterministic, so gated in smoke mode too: a zero window must seal
+  // every batch before a second committer can join it.
+  if (wal_classic.fsyncs_per_commit != 1.0) {
+    std::cout << "FAIL: expected exactly 1 fsync per classic commit, got "
+              << wal_classic.fsyncs_per_commit << "\n";
+    bench::finish();
+    return 1;
+  }
   if (!bench::smoke() && wal_speedup < 5.0) {
     std::cout << "FAIL: expected >= 5x group-commit speedup at 64 sessions\n";
     bench::finish();

@@ -9,6 +9,10 @@ namespace fem2::db {
 
 namespace {
 
+/// A filling group-commit batch seals early once it holds this many
+/// transactions.
+constexpr std::size_t kGroupCommitMaxBatch = 64;
+
 std::string conflict_message(const std::string& name, std::uint64_t expected,
                              std::uint64_t actual) {
   std::string msg = "conflict on '" + name + "': ";
@@ -146,12 +150,23 @@ Engine::HeadView Engine::effective_head_locked(const std::string& name) const {
   return HeadView{current->revision, current->deleted};
 }
 
-void Engine::check_expected_locked(const std::string& name,
-                                   std::uint64_t expected) const {
+void Engine::check_expected_locked(std::unique_lock<std::mutex>& lock,
+                                   const std::string& name,
+                                   std::uint64_t expected) {
   if (expected == kAnyRevision) return;
   const HeadView head = effective_head_locked(name);
   const std::uint64_t actual = head.deleted ? 0 : head.revision;
-  if (actual != expected) throw ConflictError(name, expected, actual);
+  if (actual == expected) return;
+  stats_.conflicts += 1;
+  // Raise the conflict only once the write we lost to is readable (or its
+  // batch failed): a caller that re-reads the revision and retries must
+  // see the winner, not spin against a head no reader can see yet.
+  const auto claimant = batches_.find(head.batch);
+  if (claimant != batches_.end()) {
+    const std::shared_ptr<Batch> batch = claimant->second;
+    batch->cv.wait(lock, [&] { return batch->done; });
+  }
+  throw ConflictError(name, expected, actual);
 }
 
 void Engine::apply_version_locked(const std::string& name, Version version) {
@@ -249,14 +264,8 @@ std::size_t Engine::commit_writes_locked(std::unique_lock<std::mutex>& lock,
   // Validate every optimistic expectation against the effective state
   // (committed table plus in-flight batch heads) before anything touches
   // the log: a conflicted transaction must leave no trace.
-  for (const auto& write : writes) {
-    try {
-      check_expected_locked(write.name, write.expected);
-    } catch (const ConflictError&) {
-      stats_.conflicts += 1;
-      throw;
-    }
-  }
+  for (const auto& write : writes)
+    check_expected_locked(lock, write.name, write.expected);
 
   // Assign revisions in write order (a transaction may touch one name
   // twice; each write gets the next revision in the chain).
@@ -274,84 +283,49 @@ std::size_t Engine::commit_writes_locked(std::unique_lock<std::mutex>& lock,
   if (last_revision && !versions.empty())
     *last_revision = versions.back().revision;
 
-  // Log, then make the commit point durable — with its own fsync on the
-  // classic path, or one fsync shared by the whole batch under group
-  // commit.
-  const bool group = wal_ && options_.sync_on_commit &&
-                     options_.group_commit_window.count() > 0;
-  if (wal_) {
-    const std::uint64_t pre_bytes = wal_->bytes();
-    const std::uint64_t pre_records = wal_->records();
-    try {
-      wal_->append(WalRecord{RecordType::TxnBegin, txn, "", "", "", 0});
-      for (std::size_t i = 0; i < writes.size(); ++i) {
-        const auto& write = writes[i];
-        const auto& version = versions[i];
-        wal_->append(WalRecord{
-            version.deleted ? RecordType::Erase : RecordType::Put, txn,
-            write.name, version.kind, version.value, version.revision});
-      }
-      wal_->append(WalRecord{RecordType::TxnCommit, txn, "", "", "", 0});
-    } catch (const IoError&) {
-      stats_.io_errors += 1;
-      // Roll the log back to the pre-transaction frame boundary.  If the
-      // rollback holds, this was a clean failure — the transaction failed
-      // but the log is exactly as before it (any in-flight batch's frames
-      // sit below our start), and the engine stays live (an ENOSPC disk
-      // fails every commit this way without degrading).
-      try {
-        wal_->truncate_to(pre_bytes, pre_records);
-        fail_locked(FailureSite::AppendRollbackOk, "");
-      } catch (const IoError& rollback) {
-        fail_locked(FailureSite::AppendRollbackFailed,
-                    std::string("append rollback failed: ") +
-                        rollback.what());
-        // The log tail is now untrustworthy; no in-flight batch can reach
-        // a durable fsync, so fail every member cleanly.
-        fail_batches_locked(rollback);
-      }
-      throw;
-    }
-    if (group)
-      return group_commit_locked(lock, txn, std::move(writes),
-                                 std::move(versions), pre_bytes, pre_records);
-    if (options_.sync_on_commit) {
-      try {
-        wal_->sync();
-      } catch (const IoError& sync_error) {
-        stats_.io_errors += 1;
-        // The fsync-gate hazard: this transaction's records sit in the
-        // file but are not durable, and the NEXT successful fsync would
-        // durably publish them even though this commit failed.  Scrub
-        // them best-effort, then fail safe: read-only until recover().
-        try {
-          wal_->truncate_to(pre_bytes, pre_records);
-          wal_->sync();
-        } catch (...) {
-          // The scrub is advisory; degraded mode is the guarantee.
-        }
-        fail_locked(FailureSite::CommitFsyncFailed,
-                    std::string("commit fsync failed: ") + sync_error.what());
-        throw;
-      }
-    }
+  if (!wal_) {
+    // Memory mode: nothing to make durable.
+    for (std::size_t i = 0; i < writes.size(); ++i)
+      apply_version_locked(writes[i].name, std::move(versions[i]));
+    stats_.commits += 1;
+    return writes.size();
   }
 
-  for (std::size_t i = 0; i < writes.size(); ++i)
-    apply_version_locked(writes[i].name, std::move(versions[i]));
-  stats_.commits += 1;
-
-  if (wal_ && !health_.degraded() && options_.compact_after_bytes > 0 &&
-      wal_->bytes() > options_.compact_after_bytes) {
-    try {
-      checkpoint_locked();
-    } catch (const IoError&) {
-      // The commit is durable and acknowledged; a failed automatic
-      // compaction only means the log stays long for now.  Degradation,
-      // if the log truncation itself failed, is already recorded.
+  // Log, then make the commit point durable with the fsync its batch
+  // shares.
+  const std::uint64_t pre_bytes = wal_->bytes();
+  const std::uint64_t pre_records = wal_->records();
+  try {
+    wal_->append(WalRecord{RecordType::TxnBegin, txn, "", "", "", 0});
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      const auto& write = writes[i];
+      const auto& version = versions[i];
+      wal_->append(WalRecord{
+          version.deleted ? RecordType::Erase : RecordType::Put, txn,
+          write.name, version.kind, version.value, version.revision});
     }
+    wal_->append(WalRecord{RecordType::TxnCommit, txn, "", "", "", 0});
+  } catch (const IoError&) {
+    stats_.io_errors += 1;
+    // Roll the log back to the pre-transaction frame boundary.  If the
+    // rollback holds, this was a clean failure — the transaction failed
+    // but the log is exactly as before it (any in-flight batch's frames
+    // sit below our start), and the engine stays live (an ENOSPC disk
+    // fails every commit this way without degrading).
+    try {
+      wal_->truncate_to(pre_bytes, pre_records);
+      fail_locked(FailureSite::AppendRollbackOk, "");
+    } catch (const IoError& rollback) {
+      fail_locked(FailureSite::AppendRollbackFailed,
+                  std::string("append rollback failed: ") + rollback.what());
+      // The log tail is now untrustworthy; no in-flight batch can reach
+      // a durable fsync, so fail every member cleanly.
+      fail_batches_locked(rollback);
+    }
+    throw;
   }
-  return writes.size();
+  return group_commit_locked(lock, txn, std::move(writes), std::move(versions),
+                             pre_bytes, pre_records);
 }
 
 std::size_t Engine::group_commit_locked(std::unique_lock<std::mutex>& lock,
@@ -360,17 +334,9 @@ std::size_t Engine::group_commit_locked(std::unique_lock<std::mutex>& lock,
                                         std::vector<Version> versions,
                                         std::uint64_t pre_bytes,
                                         std::uint64_t pre_records) {
-  // Our frames are in the log but not durable.  Claim the in-flight heads
-  // so later transactions validate and number against them, then join (or
-  // open) the filling batch.
-  std::vector<std::string> names;
-  names.reserve(writes.size());
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    pending_heads_[writes[i].name] =
-        HeadView{versions[i].revision, versions[i].deleted};
-    names.push_back(std::move(writes[i].name));
-  }
-
+  // Our frames are in the log but not durable.  Join (or open) the
+  // filling batch, then claim the in-flight heads so later transactions
+  // validate and number against them.
   std::shared_ptr<Batch> batch = filling_;
   const bool leader = batch == nullptr;
   if (leader) {
@@ -381,10 +347,21 @@ std::size_t Engine::group_commit_locked(std::unique_lock<std::mutex>& lock,
     batches_.emplace(batch->seq, batch);
     filling_ = batch;
   }
+  std::vector<std::string> names;
+  names.reserve(writes.size());
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    pending_heads_[writes[i].name] =
+        HeadView{versions[i].revision, versions[i].deleted, batch->seq};
+    names.push_back(std::move(writes[i].name));
+  }
   const std::size_t write_count = names.size();
   batch->members.push_back(
       Batch::Member{txn, std::move(names), std::move(versions)});
-  if (batch->members.size() >= options_.group_commit_max_batch) {
+  // A full batch seals early.  A zero window seals the batch of one right
+  // here, while we still hold the mutex: a timed wait, even of zero,
+  // would unlock it and let a follower join.
+  if (batch->members.size() >= kGroupCommitMaxBatch ||
+      options_.group_commit_window.count() == 0) {
     batch->sealed = true;
     if (filling_ == batch) filling_ = nullptr;
     batch->cv.notify_all();
@@ -404,22 +381,20 @@ void Engine::lead_batch_locked(std::unique_lock<std::mutex>& lock,
                                const std::shared_ptr<Batch>& batch) {
   // Gather members until the window expires, the batch fills, or a
   // failure elsewhere decides the batch's fate for us.
-  if (!batch->sealed)
+  if (!batch->sealed) {
     batch->cv.wait_for(lock, options_.group_commit_window,
                        [&] { return batch->sealed || batch->done; });
-  if (!batch->sealed) {
     batch->sealed = true;
     if (filling_ == batch) filling_ = nullptr;
   }
 
   // Batches fsync and apply in sequence order, so the acknowledged state
-  // is always a prefix of the log.
-  sync_order_cv_.wait(lock, [&] {
+  // is always a prefix of the log.  The batch before us wakes only us.
+  batch->cv.wait(lock, [&] {
     return batch->done || applied_batch_seq_ + 1 == batch->seq;
   });
   if (batch->done) {  // failed wholesale while we waited our turn
-    batches_.erase(batch->seq);
-    sync_order_cv_.notify_all();
+    retire_batch_locked(batch->seq);
     return;
   }
 
@@ -438,16 +413,15 @@ void Engine::lead_batch_locked(std::unique_lock<std::mutex>& lock,
     // An append-rollback failure degraded the engine while we were
     // syncing; the coordinator already failed every batch, ours
     // included, and our members carry the root cause.  Retire the seq.
-    batches_.erase(batch->seq);
-    sync_order_cv_.notify_all();
+    retire_batch_locked(batch->seq);
     return;
   }
 
   if (sync_error) {
     stats_.io_errors += 1;
-    // The fsync-gate hazard, batch edition: every frame from this batch's
-    // start — ours and any batch appended behind us — sits in the file
-    // un-durable, and the NEXT successful fsync would publish them all.
+    // The fsync-gate hazard: every frame from this batch's start — ours
+    // and any batch appended behind us — sits in the file un-durable, and
+    // the NEXT successful fsync would publish them all.
     // Scrub best-effort, then fail safe: read-only until recover(), and
     // every in-flight member fails cleanly with the root cause.
     try {
@@ -457,11 +431,10 @@ void Engine::lead_batch_locked(std::unique_lock<std::mutex>& lock,
       // The scrub is advisory; degraded mode is the guarantee.
     }
     fail_locked(FailureSite::CommitFsyncFailed,
-                std::string("group commit fsync failed: ") +
+                std::string("commit fsync failed: ") +
                     sync_error->what());
     fail_batches_locked(*sync_error);
-    batches_.erase(batch->seq);
-    sync_order_cv_.notify_all();
+    retire_batch_locked(batch->seq);
     return;
   }
 
@@ -484,8 +457,9 @@ void Engine::lead_batch_locked(std::unique_lock<std::mutex>& lock,
   applied_batch_seq_ = batch->seq;
   batch->done = true;
   batch->cv.notify_all();
-  batches_.erase(batch->seq);
-  sync_order_cv_.notify_all();
+  const auto next = batches_.find(batch->seq + 1);
+  if (next != batches_.end()) next->second->cv.notify_all();
+  retire_batch_locked(batch->seq);
 
   // Auto-compaction must not erase frames a later batch appended but has
   // not applied yet, so it only runs once the pipeline is drained.
@@ -499,6 +473,11 @@ void Engine::lead_batch_locked(std::unique_lock<std::mutex>& lock,
       // means the log stays long for now.
     }
   }
+}
+
+void Engine::retire_batch_locked(std::uint64_t seq) {
+  batches_.erase(seq);
+  if (batches_.empty()) drained_cv_.notify_all();
 }
 
 void Engine::fail_batches_locked(const IoError& error) {
@@ -518,7 +497,6 @@ void Engine::fail_batches_locked(const IoError& error) {
   filling_ = nullptr;
   pending_heads_.clear();
   applied_batch_seq_ = next_batch_seq_ - 1;
-  sync_order_cv_.notify_all();
 }
 
 std::size_t Engine::commit(std::uint64_t txn) {
@@ -546,10 +524,10 @@ std::uint64_t Engine::put(std::string name, std::string kind,
   std::vector<PendingWrite> writes;
   writes.push_back(PendingWrite{std::move(name), std::move(kind),
                                 std::move(value), expected});
-  // The assigned revision comes back through the out-parameter: under
-  // group commit the table head may already be past our version by the
-  // time the batch lands (a later batch bumped it), so re-reading the
-  // chain here would hand the caller someone else's revision.
+  // The assigned revision comes back through the out-parameter: the table
+  // head may already be past our version by the time our batch lands (a
+  // later batch bumped it), so re-reading the chain here would hand the
+  // caller someone else's revision.
   std::uint64_t revision = 0;
   commit_writes_locked(lock, txn, std::move(writes), &revision);
   return revision;
@@ -689,7 +667,7 @@ void Engine::checkpoint() {
   // A checkpoint truncates the whole log; wait for in-flight batches to
   // drain so it never erases frames that were appended but not yet
   // applied to the table.
-  sync_order_cv_.wait(lock, [&] { return batches_.empty(); });
+  drained_cv_.wait(lock, [&] { return batches_.empty(); });
   ensure_writable_locked();
   checkpoint_locked();
 }
@@ -719,7 +697,7 @@ void Engine::recover() {
   // Degradation already failed every in-flight batch; wait for their
   // leaders to retire them so no thread still holds the WAL handle we
   // are about to replace.
-  sync_order_cv_.wait(lock, [&] { return batches_.empty(); });
+  drained_cv_.wait(lock, [&] { return batches_.empty(); });
   objects_.clear();
   open_txns_.clear();
   pending_heads_.clear();

@@ -3,8 +3,10 @@
 // user's VM made real.
 //
 //   * Durability: commits append CRC-framed records to a write-ahead log
-//     and fsync once per commit (wal.hpp).  Recovery = snapshot load + log
-//     replay; a crash at any byte leaves exactly the committed prefix.
+//     and are acked only after a group-commit batch's fsync covers them
+//     (wal.hpp); a zero window makes every batch a batch of one.
+//     Recovery = snapshot load + log replay; a crash at any byte leaves
+//     exactly the committed prefix.
 //   * Compaction: checkpoint() writes an atomic snapshot of the object
 //     table and truncates the log; it also runs automatically once the log
 //     outgrows EngineOptions::compact_after_bytes.
@@ -12,12 +14,14 @@
 //     revision; history() exposes the chain (bounded by history_limit).
 //   * Optimistic concurrency: every write may carry an expected revision
 //     (compare-and-swap).  Two sessions racing on one name get a clean
-//     ConflictError instead of silent clobbering.
+//     ConflictError instead of silent clobbering, raised once the winning
+//     write is readable.
 //   * Degenerate mode: an empty directory means a purely in-memory engine
 //     with identical semantics minus durability.
 //
 // Thread safety: all public methods are safe to call from concurrent
-// sessions; one mutex serializes the table and the log tail.
+// sessions; one mutex serializes the table and the log tail, and no fsync
+// runs under it.
 #pragma once
 
 #include <chrono>
@@ -82,20 +86,15 @@ struct EngineOptions {
   std::size_t history_limit = 8;
   /// Auto-checkpoint once the WAL exceeds this many bytes; 0 disables.
   std::size_t compact_after_bytes = 4u << 20;
-  /// fsync at every commit point (the durability guarantee).  Off only for
-  /// throughput experiments that accept losing the OS buffer tail.
-  bool sync_on_commit = true;
   /// Storage backend; null = the real filesystem (Vfs::posix()).  Tests
   /// and chaos drivers pass a FaultVfs here.
   std::shared_ptr<Vfs> vfs = nullptr;
-  /// Group commit: batch every transaction that reaches its commit point
-  /// within this window into ONE fsync, acking each only after the shared
-  /// fsync returns.  0 (the default) keeps the classic one-fsync-per-
-  /// commit path.  Only meaningful for a persistent engine with
-  /// sync_on_commit.
+  /// Group commit: every commit of a persistent engine joins a batch whose
+  /// transactions share ONE fsync, and each is acked only after that fsync
+  /// returns.  The batch leader waits this long for followers before it
+  /// seals the batch; 0 (the default) seals at once, so every batch is a
+  /// batch of one and each commit gets its own fsync.
   std::chrono::microseconds group_commit_window{0};
-  /// Seal a filling batch early once it holds this many transactions.
-  std::size_t group_commit_max_batch = 64;
 };
 
 /// A live object as seen by a read.
@@ -141,7 +140,8 @@ struct EngineStats {
   std::uint64_t checkpoint_failures = 0;  ///< checkpoints that threw
   std::uint64_t degraded_entries = 0;     ///< transitions into degraded mode
   std::uint64_t recoveries = 0;           ///< explicit recover() calls
-  std::uint64_t group_batches = 0;        ///< group-commit batches fsynced
+  std::uint64_t group_batches = 0;        ///< batches fsynced; every durable
+                                          ///< commit rides one
   std::uint64_t group_batched_txns = 0;   ///< transactions those carried
   std::uint64_t group_max_batch = 0;      ///< largest batch seen
   std::uint64_t queries = 0;              ///< query() calls served
@@ -191,9 +191,9 @@ class Engine {
   std::optional<ObjectView> get(std::uint64_t txn,
                                 const std::string& name) const;
 
-  /// Validate, log (one fsync), apply.  Returns the number of writes
-  /// applied.  Throws ConflictError — the transaction is then gone — when
-  /// any expected revision no longer matches.
+  /// Validate, log, wait for the batch fsync, apply.  Returns the number
+  /// of writes applied.  Throws ConflictError — the transaction is then
+  /// gone — when any expected revision no longer matches.
   std::size_t commit(std::uint64_t txn);
 
   /// Drop a transaction; its buffered writes never reach the log.
@@ -270,6 +270,7 @@ class Engine {
   struct HeadView {
     std::uint64_t revision = 0;  ///< 0 when the name has never existed
     bool deleted = true;
+    std::uint64_t batch = 0;  ///< seq of the claiming batch; 0 = applied
   };
 
   /// One group-commit batch: the transactions whose WAL frames share one
@@ -291,7 +292,8 @@ class Engine {
       std::vector<Version> versions;
     };
     std::vector<Member> members;  ///< in WAL append order
-    std::condition_variable cv;   ///< sealed (leader) / done (members)
+    /// Sealed or fsync turn reached (leader) / done (members).
+    std::condition_variable cv;
   };
 
   void open_locked();
@@ -307,13 +309,14 @@ class Engine {
                                   std::uint64_t pre_records);
   void lead_batch_locked(std::unique_lock<std::mutex>& lock,
                          const std::shared_ptr<Batch>& batch);
+  void retire_batch_locked(std::uint64_t seq);
   void fail_batches_locked(const IoError& error);
   void apply_version_locked(const std::string& name, Version version);
   void rebuild_indexes_locked();
   const Version* current_version_locked(const std::string& name) const;
   HeadView effective_head_locked(const std::string& name) const;
-  void check_expected_locked(const std::string& name,
-                             std::uint64_t expected) const;
+  void check_expected_locked(std::unique_lock<std::mutex>& lock,
+                             const std::string& name, std::uint64_t expected);
   void checkpoint_locked();
   void fail_locked(FailureSite site, std::string reason);
   void ensure_writable_locked() const;
@@ -336,9 +339,8 @@ class Engine {
   std::map<std::uint64_t, std::shared_ptr<Batch>> batches_;  ///< in flight
   std::uint64_t next_batch_seq_ = 1;
   std::uint64_t applied_batch_seq_ = 0;  ///< last batch fsynced + applied
-  /// Wakes leaders waiting their fsync turn, plus checkpoint()/recover()
-  /// waiting for in-flight batches to drain.
-  std::condition_variable sync_order_cv_;
+  /// Wakes checkpoint()/recover() once every in-flight batch retired.
+  std::condition_variable drained_cv_;
   /// Revision heads already claimed by appended-but-unsynced batches, so
   /// later transactions validate and number against in-flight state.
   std::map<std::string, HeadView> pending_heads_;

@@ -17,9 +17,9 @@
 // depends on which index served it.  QueryResult::scanned counts the
 // candidates examined, making planner behavior observable in tests.
 //
-// Queries never touch the write-ahead log and never wait on a group
-// commit's fsync (the engine drops its mutex across the fsync), so the
-// read path stays live while committers batch.
+// Queries never touch the write-ahead log and never wait on a commit's
+// fsync (the engine drops its mutex across every batch fsync), so the
+// read path stays live while committers wait for the disk.
 #pragma once
 
 #include <cstdint>

@@ -80,10 +80,11 @@ dbstats   ::= { commits: INT, aborts: INT, conflicts: INT,
 
 # Secondary-index summary (kind buckets and revision entries over live
 # heads) and the group-commit window state (batched WAL fsync).  Both are
-# optional: a classic engine with group commit off reflects neither.
+# optional: an empty engine has no index, and a zero window (every batch
+# a batch of one) reflects no window state.
 dbindex   ::= { kinds: INT, entries: INT }
-gcstate   ::= { window_us: INT, max_batch: INT, batches: INT,
-                batched: INT, max_seen: INT, pending: INT }
+gcstate   ::= { window_us: INT, batches: INT, batched: INT,
+                max_seen: INT, pending: INT }
 dbengine  ::= { mode: STRING, wal: walstate, stats: dbstats,
                 index?: dbindex, groupcommit?: gcstate,
                 chain[*]: chain, txn[*]: txn }

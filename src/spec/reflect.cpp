@@ -215,9 +215,6 @@ hgraph::NodeId reflect_db_engine(HGraph& g, const db::Engine& engine) {
     g.add_arc(gc, "window_us",
               int_node(g, static_cast<std::int64_t>(
                               options.group_commit_window.count())));
-    g.add_arc(gc, "max_batch",
-              int_node(g, static_cast<std::int64_t>(
-                              options.group_commit_max_batch)));
     g.add_arc(gc, "batches",
               int_node(g,
                        static_cast<std::int64_t>(state.stats.group_batches)));

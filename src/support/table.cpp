@@ -37,8 +37,10 @@ Table::RowBuilder& Table::RowBuilder::cell(std::uint64_t v) {
   return *this;
 }
 Table::RowBuilder& Table::RowBuilder::cell(std::int64_t v) {
-  cells_.push_back(v < 0 ? "-" + format_count(static_cast<std::uint64_t>(-v))
-                         : format_count(static_cast<std::uint64_t>(v)));
+  const auto magnitude = static_cast<std::uint64_t>(v);
+  std::string text(v < 0 ? "-" : "");
+  text += format_count(v < 0 ? 0 - magnitude : magnitude);
+  cells_.push_back(std::move(text));
   return *this;
 }
 Table::RowBuilder& Table::RowBuilder::cell(int v) {

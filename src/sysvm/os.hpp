@@ -242,9 +242,6 @@ struct OsStats {
   std::string dump() const;
 };
 
-/// Historical name, kept for call sites that predate the fault work.
-using OsMetrics = OsStats;
-
 class Os {
  public:
   explicit Os(hw::Machine& machine, OsOptions options = {});

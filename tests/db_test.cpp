@@ -269,12 +269,14 @@ TEST(Engine, ConcurrentCasStoresNeverLoseWrites) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&engine, t] {
       for (int i = 0; i < kStoresPerThread; ++i) {
+        std::string value(1, 't');
+        value += std::to_string(t);
+        value += 'i';
+        value += std::to_string(i);
         for (;;) {
           const std::uint64_t rev = engine.revision_of("hot");
           try {
-            engine.put("hot", "model",
-                       "t" + std::to_string(t) + "i" + std::to_string(i),
-                       rev);
+            engine.put("hot", "model", value, rev);
             break;
           } catch (const db::ConflictError&) {
           }
@@ -319,8 +321,11 @@ TEST(Recovery, CheckpointCompactsLogAndSurvivesReopen) {
   StateMap before;
   {
     db::Engine engine(options_for(dir));
-    for (int i = 0; i < 10; ++i)
-      engine.put("n" + std::to_string(i), "model", std::string(100, 'x'));
+    for (int i = 0; i < 10; ++i) {
+      std::string name(1, 'n');
+      name += std::to_string(i);
+      engine.put(name, "model", std::string(100, 'x'));
+    }
     const std::uint64_t wal_before = engine.stats().wal_bytes;
     engine.checkpoint();
     EXPECT_GT(wal_before, 0u);
@@ -389,7 +394,6 @@ TEST(Recovery, CrashPointSweepEveryByteBoundary) {
   TempDir dir("sweep_src");
   db::EngineOptions options = options_for(dir);
   options.compact_after_bytes = 0;  // keep every record in the log
-  options.sync_on_commit = false;   // the sweep reads file bytes, not disk
 
   // (wal length after commit) -> expected state; the empty log maps to {}.
   std::vector<std::pair<std::uint64_t, StateMap>> commit_points;
@@ -475,7 +479,6 @@ TEST(Recovery, CrashPointSweepAfterCheckpoint) {
   TempDir dir("sweep_ckpt");
   db::EngineOptions options = options_for(dir);
   options.compact_after_bytes = 0;
-  options.sync_on_commit = false;
 
   std::vector<std::pair<std::uint64_t, StateMap>> commit_points;
   {

@@ -9,9 +9,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "db/engine.hpp"
 #include "db/iofault.hpp"
 #include "db/query.hpp"
+#include "db/vfs.hpp"
 
 namespace fs = std::filesystem;
 using namespace fem2;
@@ -41,13 +45,11 @@ struct TempDir {
 
 db::EngineOptions grouped_options(const TempDir& dir,
                                   std::chrono::microseconds window =
-                                      std::chrono::milliseconds(20),
-                                  std::size_t max_batch = 64) {
+                                      std::chrono::milliseconds(20)) {
   db::EngineOptions options;
   options.directory = dir.str();
   options.compact_after_bytes = 0;  // keep every record in the log
   options.group_commit_window = window;
-  options.group_commit_max_batch = max_batch;
   return options;
 }
 
@@ -61,6 +63,78 @@ void write_file(const fs::path& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+/// Parks the WAL fsync once armed, until the test releases it: a commit
+/// can be held inside its fsync while the test probes the engine.
+struct SyncGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool armed = false;
+  bool parked = false;
+  bool released = false;
+
+  void pass() {
+    std::unique_lock lock(mutex);
+    if (!armed) return;
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return released; });
+  }
+  bool wait_parked(std::chrono::seconds timeout) {
+    std::unique_lock lock(mutex);
+    return cv.wait_for(lock, timeout, [this] { return parked; });
+  }
+  void release() {
+    std::lock_guard lock(mutex);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+class GatedFile : public db::VfsFile {
+ public:
+  GatedFile(std::unique_ptr<db::VfsFile> inner, std::shared_ptr<SyncGate> gate)
+      : db::VfsFile(inner->path()),
+        inner_(std::move(inner)),
+        gate_(std::move(gate)) {}
+  std::size_t write_some(const char* data, std::size_t bytes) override {
+    return inner_->write_some(data, bytes);
+  }
+  void sync() override {
+    gate_->pass();
+    inner_->sync();
+  }
+  void truncate(std::uint64_t bytes) override { inner_->truncate(bytes); }
+  std::uint64_t size() override { return inner_->size(); }
+
+ private:
+  std::unique_ptr<db::VfsFile> inner_;
+  std::shared_ptr<SyncGate> gate_;
+};
+
+/// The real filesystem, with every append-mode file's fsync gated.
+class GatedVfs : public db::Vfs {
+ public:
+  explicit GatedVfs(std::shared_ptr<SyncGate> gate) : gate_(std::move(gate)) {}
+  std::unique_ptr<db::VfsFile> open_append(const std::string& path) override {
+    return std::make_unique<GatedFile>(inner_->open_append(path), gate_);
+  }
+  std::unique_ptr<db::VfsFile> create_truncate(
+      const std::string& path) override {
+    return inner_->create_truncate(path);
+  }
+  std::optional<std::string> read_file(const std::string& path) override {
+    return inner_->read_file(path);
+  }
+  void rename(const std::string& from, const std::string& to) override {
+    inner_->rename(from, to);
+  }
+  void dir_sync(const std::string& dir) override { inner_->dir_sync(dir); }
+
+ private:
+  std::shared_ptr<db::Vfs> inner_ = db::Vfs::posix();
+  std::shared_ptr<SyncGate> gate_;
+};
 
 }  // namespace
 
@@ -108,6 +182,72 @@ TEST(GroupCommit, SingleCommitterStillAcksAfterWindow) {
   EXPECT_EQ(stats.group_batches, 2u);  // nobody to share with
 }
 
+TEST(GroupCommit, ZeroWindowMakesEveryCommitABatchOfOne) {
+  TempDir dir("window_zero");
+  db::Engine engine(grouped_options(dir, std::chrono::microseconds(0)));
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kOps = 20;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&engine, t] {
+      for (std::size_t op = 0; op < kOps; ++op)
+        engine.put("obj-" + std::to_string(t) + "-" + std::to_string(op),
+                   "model", "v");
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // Concurrent committers never share a fsync at window 0: the leader
+  // seals its batch before it can drop the mutex.
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.commits, kThreads * kOps);
+  EXPECT_EQ(stats.group_batches, stats.commits);
+  EXPECT_EQ(stats.group_batched_txns, stats.commits);
+  EXPECT_EQ(stats.group_max_batch, 1u);
+  EXPECT_EQ(engine.size(), kThreads * kOps);
+}
+
+TEST(GroupCommit, ZeroWindowReadsProceedDuringCommitFsync) {
+  TempDir dir("window_zero_reads");
+  auto gate = std::make_shared<SyncGate>();
+  db::EngineOptions options =
+      grouped_options(dir, std::chrono::microseconds(0));
+  options.vfs = std::make_shared<GatedVfs>(gate);
+  db::Engine engine(options);
+  engine.put("seed", "model", "durable");
+
+  {
+    std::lock_guard lock(gate->mutex);
+    gate->armed = true;
+  }
+  std::thread writer([&engine] {
+    EXPECT_EQ(engine.put("parked", "model", "in-flight"), 1u);
+  });
+  if (!gate->wait_parked(std::chrono::seconds(10))) {
+    gate->release();
+    writer.join();
+    FAIL() << "the commit never reached its fsync";
+  }
+
+  // The commit is parked inside its fsync.  Reads must not queue behind
+  // it, and they see only acked state.
+  auto reader = std::async(std::launch::async, [&engine] {
+    db::QueryFilter filter;
+    filter.kind = "model";
+    const auto rows = engine.query(filter).rows;
+    return engine.get("seed").has_value() && !engine.contains("parked") &&
+           rows.size() == 1 && rows[0].name == "seed";
+  });
+  const bool returned = reader.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  gate->release();
+  writer.join();
+  ASSERT_TRUE(returned) << "a read waited for another commit's fsync";
+  EXPECT_TRUE(reader.get());
+  EXPECT_EQ(engine.get("parked").value().value, "in-flight");
+}
+
 TEST(GroupCommit, RecoverySeesAllAckedBatchedCommits) {
   TempDir dir("recovery");
   {
@@ -145,16 +285,26 @@ TEST(GroupCommit, ConflictsValidateAgainstPendingHeads) {
   while (engine.state().pending_heads == 0)
     std::this_thread::yield();
 
-  // The first batch has not fsynced yet, but `expected = 0 (must not
-  // exist)` must already fail — otherwise two creators could both ack.
-  EXPECT_THROW(engine.put("contested", "model", "second", 0),
+  // A CAS against the pending revision chains onto it, in the same batch.
+  const std::uint64_t records = engine.stats().wal_records;
+  std::thread chained([&engine] {
+    EXPECT_EQ(engine.put("contested", "model", "second", 1), 2u);
+  });
+  while (engine.stats().wal_records < records + 3)  // begin, put, commit
+    std::this_thread::yield();
+
+  // The batch has not fsynced yet, but `expected = 0 (must not exist)`
+  // must already fail — otherwise two creators could both ack.  The
+  // conflict is raised only once the writes it lost to are readable, so
+  // a caller that re-reads before retrying sees the winner.
+  EXPECT_THROW(engine.put("contested", "model", "third", 0),
                db::ConflictError);
-  // And a CAS against the pending revision must chain onto it.
-  EXPECT_EQ(engine.put("contested", "model", "third", 1), 2u);
+  EXPECT_EQ(engine.revision_of("contested"), 2u);
   first.join();
+  chained.join();
 
   EXPECT_EQ(engine.stats().conflicts, 1u);
-  EXPECT_EQ(engine.get("contested").value().value, "third");
+  EXPECT_EQ(engine.get("contested").value().value, "second");
   EXPECT_EQ(engine.state().pending_heads, 0u);  // all applied
 }
 
@@ -297,7 +447,6 @@ TEST(GroupCommit, CrashPointSweepAcrossBatchedFrames) {
   const std::vector<std::string> pair_names = {"atomic-a", "atomic-b"};
 
   db::EngineOptions options = grouped_options(dir);
-  options.sync_on_commit = true;  // group commit requires the fsync gate
   std::map<std::string, std::uint64_t> final_revisions;
   {
     db::Engine engine(options);
