@@ -15,7 +15,7 @@ Analyzer::Analyzer(navm::Runtime& runtime, AnalyzerOptions options)
                    ConformanceOptions{options.snapshot_stride,
                                       options.check_messages},
                    findings_),
-      race_(RaceOptions{options.race_history_limit}, findings_),
+      race_(findings_),
       deadlock_(os_, &runtime_, findings_) {
   os_.set_observer(this);
   runtime_.set_observer(this);

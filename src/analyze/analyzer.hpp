@@ -34,8 +34,6 @@ struct AnalyzerOptions {
   std::size_t snapshot_stride = 64;
   /// Check each decoded sysvm message against the `message` production.
   bool check_messages = true;
-  /// Access records kept per array by the race detector.
-  std::size_t race_history_limit = 512;
 };
 
 struct AnalyzerStats {
@@ -65,10 +63,6 @@ class Analyzer final : public sysvm::OsObserver, public navm::RuntimeObserver {
   void check_now();
 
   const std::vector<Finding>& findings() const { return findings_; }
-  /// Errors (not warnings/infos) accumulated so far.
-  std::size_t error_count() const {
-    return count_at_least(findings_, Severity::Error);
-  }
   AnalyzerStats stats() const;
 
   // --- sysvm::OsObserver --------------------------------------------------

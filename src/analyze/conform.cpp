@@ -131,10 +131,7 @@ void ConformanceChecker::check_message(const sysvm::Message& message) {
   if (!options_.check_messages) return;
   const auto type = static_cast<std::size_t>(sysvm::message_type(message));
   const std::uint64_t seen = messages_seen_[type]++;
-  if (seen >= options_.message_warmup &&
-      (options_.message_stride == 0 ||
-       seen % options_.message_stride != 0))
-    return;
+  if (seen >= kMessageWarmup && seen % kMessageStride != 0) return;
   ++messages_;
   hgraph::HGraph g;
   const auto root = spec::reflect_message(g, message);

@@ -25,11 +25,6 @@ struct ConformanceOptions {
   std::size_t snapshot_stride = 64;
   /// Check decoded sysvm messages against the `message` production.
   bool check_messages = true;
-  /// Messages of the same type are structurally near-identical, so after
-  /// the first `message_warmup` of a type, only every `message_stride`-th
-  /// is checked — systematic malformations are still caught.
-  std::size_t message_warmup = 16;
-  std::size_t message_stride = 64;
 };
 
 class ConformanceChecker {
@@ -69,6 +64,12 @@ class ConformanceChecker {
   hgraph::Grammar navm_grammar_;
   hgraph::Grammar sysvm_grammar_;
   hgraph::Grammar hw_grammar_;
+
+  /// Messages of the same type are structurally near-identical, so after
+  /// the first kMessageWarmup of a type, only every kMessageStride-th is
+  /// checked — systematic malformations are still caught.
+  static constexpr std::uint64_t kMessageWarmup = 16;
+  static constexpr std::uint64_t kMessageStride = 64;
 
   std::size_t quiescent_counter_ = 0;
   std::uint64_t snapshots_ = 0;

@@ -137,7 +137,7 @@ void RaceDetector::record_access(const navm::Window& window, bool write) {
   }
 
   history.accesses.push_back(Access{epoch, window, write});
-  if (history.accesses.size() > options_.history_limit)
+  if (history.accesses.size() > kHistoryLimit)
     history.accesses.pop_front();
 }
 

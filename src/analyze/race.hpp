@@ -39,15 +39,12 @@
 
 namespace fem2::analyze {
 
-struct RaceOptions {
-  /// Access records kept per array (FIFO eviction).
-  std::size_t history_limit = 512;
-};
-
 class RaceDetector {
  public:
-  explicit RaceDetector(RaceOptions options, std::vector<Finding>& sink)
-      : options_(options), sink_(sink) {}
+  /// Access records kept per array (FIFO eviction).
+  static constexpr std::size_t kHistoryLimit = 512;
+
+  explicit RaceDetector(std::vector<Finding>& sink) : sink_(sink) {}
 
   // --- OS-side events -----------------------------------------------------
   void task_created(sysvm::TaskId task, sysvm::TaskId parent);
@@ -88,7 +85,6 @@ class RaceDetector {
   void report_race(const Access& prev, const Access& now, bool now_write,
                    navm::ArrayId array);
 
-  RaceOptions options_;
   std::vector<Finding>& sink_;
 
   std::map<sysvm::TaskId, VectorClock> clocks_;

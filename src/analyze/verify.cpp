@@ -584,25 +584,18 @@ VerifyReport verify_specs(const VerifyOptions& options) {
                            std::make_move_iterator(more.end()));
   };
 
-  if (options.grammar_language) {
-    append(verify_grammar(spec::appvm_grammar(), Layer::Appvm,
-                          &report.stats));
-    append(verify_grammar(spec::db_grammar(), Layer::Db, &report.stats));
-    append(verify_grammar(spec::navm_grammar(), Layer::Navm, &report.stats));
-    append(
-        verify_grammar(spec::sysvm_grammar(), Layer::Sysvm, &report.stats));
-    append(verify_grammar(spec::hw_grammar(), Layer::Hw, &report.stats));
-    // The db engine's state grammar must refine what layer 1 assumes of
-    // its storage (the abstract `storage` fragment of the appvm grammar).
-    append(verify_refinement(spec::db_grammar(), "dbengine", Layer::Db,
-                             spec::appvm_grammar(), "storage",
-                             &report.stats));
-  }
+  append(verify_grammar(spec::appvm_grammar(), Layer::Appvm, &report.stats));
+  append(verify_grammar(spec::db_grammar(), Layer::Db, &report.stats));
+  append(verify_grammar(spec::navm_grammar(), Layer::Navm, &report.stats));
+  append(verify_grammar(spec::sysvm_grammar(), Layer::Sysvm, &report.stats));
+  append(verify_grammar(spec::hw_grammar(), Layer::Hw, &report.stats));
+  // The db engine's state grammar must refine what layer 1 assumes of
+  // its storage (the abstract `storage` fragment of the appvm grammar).
+  append(verify_refinement(spec::db_grammar(), "dbengine", Layer::Db,
+                           spec::appvm_grammar(), "storage", &report.stats));
 
-  if (options.type_preservation) {
-    append(verify_transforms(spec::make_appvm_transforms(), Layer::Appvm,
-                             &report.stats));
-  }
+  append(verify_transforms(spec::make_appvm_transforms(), Layer::Appvm,
+                           &report.stats));
 
   if (options.protocols) {
     report.messaging = check_messaging(options.messaging);

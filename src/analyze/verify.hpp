@@ -33,9 +33,8 @@
 
 namespace fem2::analyze {
 
+/// Grammar language and rule type-preservation checks always run.
 struct VerifyOptions {
-  bool grammar_language = true;
-  bool type_preservation = true;
   bool protocols = true;
   MessagingModelOptions messaging;
   HealthModelOptions db_health;

@@ -686,11 +686,6 @@ bool Engine::degraded() const {
   return health_.degraded();
 }
 
-std::string Engine::degraded_reason() const {
-  std::lock_guard lock(mutex_);
-  return health_.reason();
-}
-
 void Engine::recover() {
   std::unique_lock lock(mutex_);
   if (options_.directory.empty()) return;  // memory mode never degrades

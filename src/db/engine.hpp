@@ -232,8 +232,6 @@ class Engine {
 
   /// True after a durability failure put the engine in read-only mode.
   bool degraded() const;
-  /// Why (empty when not degraded).
-  std::string degraded_reason() const;
 
   /// Re-open the store from its durable state (snapshot load + log
   /// replay), dropping open transactions and clearing degraded mode.

@@ -59,9 +59,9 @@ StaticSolution solve_reduced(const AssembledSystem& system,
     case SolverKind::ConjugateGradient:
     case SolverKind::PreconditionedCg:
     case SolverKind::TwoLevelCg: {
-      iter.jacobi_preconditioner =
-          options.kind == SolverKind::PreconditionedCg;
-      std::unique_ptr<la::TwoLevelPreconditioner> two_level;
+      std::unique_ptr<la::Preconditioner> precond;
+      if (options.kind == SolverKind::PreconditionedCg)
+        precond = std::make_unique<la::JacobiPreconditioner>(k);
       if (options.kind == SolverKind::TwoLevelCg) {
         la::TwoLevelOptions tl = options.two_level;
         if (tl.aggregate_of.empty()) {
@@ -82,9 +82,9 @@ StaticSolution solve_reduced(const AssembledSystem& system,
                 (full / ndof / block_nodes) * ndof + full % ndof;
           }
         }
-        two_level = std::make_unique<la::TwoLevelPreconditioner>(k, tl);
-        iter.preconditioner = two_level.get();
+        precond = std::make_unique<la::TwoLevelPreconditioner>(k, tl);
       }
+      iter.preconditioner = precond.get();
       auto result = la::conjugate_gradient(k, rhs, iter);
       reduced = std::move(result.x);
       out.stats.converged = result.report.converged;

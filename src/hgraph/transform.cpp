@@ -3,11 +3,6 @@
 namespace fem2::hgraph {
 
 NodeId Invoker::call(std::string_view transform, NodeId argument) const {
-  ++depth_;
-  struct DepthGuard {
-    std::size_t& d;
-    ~DepthGuard() { --d; }
-  } guard{depth_};
   auto* self = const_cast<Invoker*>(this);
   return registry_.apply_impl(transform, *self, graph_, argument);
 }
@@ -30,10 +25,6 @@ void TransformRegistry::register_transform(std::string name,
   const auto [it, inserted] = transforms_.emplace(
       std::move(name), std::make_pair(std::move(signature), std::move(fn)));
   FEM2_CHECK_MSG(inserted, "duplicate transform name");
-}
-
-bool TransformRegistry::has_transform(std::string_view name) const {
-  return transforms_.find(name) != transforms_.end();
 }
 
 const TransformSignature* TransformRegistry::signature(

@@ -41,14 +41,10 @@ class Invoker {
   NodeId call(std::string_view transform, NodeId argument) const;
   HGraph& graph() const { return graph_; }
 
-  /// Depth of the current transform call stack (for tests/metrics).
-  std::size_t call_depth() const { return depth_; }
-
  private:
   friend class TransformRegistry;
   const TransformRegistry& registry_;
   HGraph& graph_;
-  mutable std::size_t depth_ = 0;
 };
 
 using TransformFn = std::function<NodeId(Invoker&, HGraph&, NodeId)>;
@@ -69,7 +65,6 @@ class TransformRegistry {
   void register_transform(std::string name, TransformSignature signature,
                           TransformFn fn);
 
-  bool has_transform(std::string_view name) const;
   std::vector<std::string> transform_names() const;
 
   /// Declared signature (with rule spec), or nullptr if unregistered.

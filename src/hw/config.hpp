@@ -57,14 +57,12 @@ struct MachineConfig {
   /// The engine's PDES window is the topology's minimum launch delay.
   std::shared_ptr<const Topology> topology;
 
-  /// Aggregate network channels: each cluster has one inbound FIFO channel;
-  /// packets heading to the same cluster serialize on it.
-  bool model_network_contention = true;
-
-  /// Shared-memory port contention: intra-cluster message handoffs
-  /// serialize on the cluster's memory port.  This is the physical pressure
-  /// that bounds useful cluster size (all PEs arbitrate for one memory).
-  bool model_memory_contention = true;
+  /// Network contention is always modeled: packets sharing a topology
+  /// channel serialize on it (flat: one inbound FIFO per cluster).
+  /// Shared-memory port contention is too: intra-cluster handoffs
+  /// serialize on the cluster's memory port at this rate.  This is the
+  /// physical pressure that bounds useful cluster size (all PEs arbitrate
+  /// for one memory).
   double memory_cycles_per_byte = 0.25;
 
   // --- fault model ---------------------------------------------------------

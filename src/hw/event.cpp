@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "support/check.hpp"
 
@@ -9,15 +10,16 @@ namespace fem2::hw {
 
 thread_local Engine::Context* Engine::context_ = nullptr;
 
-Engine::Engine() {
+unsigned host_threads(unsigned fallback) {
   if (const char* env = std::getenv("FEM2_HOST_THREADS")) {
     char* end = nullptr;
     const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v >= 1 && v <= 256) {
-      threads_ = static_cast<unsigned>(v);
-    }
+    if (end != env && v >= 1 && v <= 256) return static_cast<unsigned>(v);
   }
+  return fallback;
 }
+
+Engine::Engine() : threads_(host_threads(1)) {}
 
 Engine::~Engine() { stop_pool(); }
 
@@ -102,18 +104,22 @@ std::uint64_t Engine::processed() const {
   return n;
 }
 
-void Engine::add_barrier_hook(Hook hook) {
-  FEM2_CHECK(hook != nullptr);
-  barrier_hooks_.push_back(std::move(hook));
-}
-
 void Engine::add_refresh_hook(Hook hook) {
   FEM2_CHECK(hook != nullptr);
   refresh_hooks_.push_back(std::move(hook));
 }
 
-void Engine::run_barrier_hooks() {
-  for (Hook& h : barrier_hooks_) h();
+void Engine::run_deferred() {
+  std::vector<Event> all;
+  for (Shard& sh : shards_) {
+    std::move(sh.deferred.begin(), sh.deferred.end(), std::back_inserter(all));
+    sh.deferred.clear();
+  }
+  // Keys never collide across shards, and the effects of one event sit in
+  // one shard's list in call order, which stable_sort keeps.
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Event& a, const Event& b) { return a.key < b.key; });
+  for (Event& e : all) e.action();
 }
 
 void Engine::fire_refresh_up_to(Cycles next_time) {
@@ -260,7 +266,6 @@ std::uint64_t Engine::run_until(Cycles limit) {
       // Host/global events run one at a time, stop-world, between phases.
       execute(g);
       host_now_ = std::max(host_now_, min_key.time);
-      run_barrier_hooks();
       maybe_quiescent(min_key.time);
       continue;
     }
@@ -305,7 +310,7 @@ std::uint64_t Engine::run_until(Cycles limit) {
       for (std::uint32_t s = 0; s < g; ++s) {
         host_now_ = std::max(host_now_, shards_[s].last_key.time);
       }
-      run_barrier_hooks();
+      run_deferred();
       rethrow_phase_error();
       maybe_quiescent(host_now_);
     } else if (active == 1) {
@@ -315,7 +320,6 @@ std::uint64_t Engine::run_until(Cycles limit) {
         execute(only);
         host_now_ = std::max(host_now_, sh.last_key.time);
       }
-      run_barrier_hooks();
       maybe_quiescent(host_now_);
     } else {
       // Serial phase across several shards: interleave by key order.
@@ -337,7 +341,6 @@ std::uint64_t Engine::run_until(Cycles limit) {
         execute(sidx);
         host_now_ = std::max(host_now_, k.time);
       }
-      run_barrier_hooks();
       maybe_quiescent(host_now_);
     }
   }

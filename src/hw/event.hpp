@@ -65,12 +65,16 @@ struct EventOrigin {
   std::uint64_t seq = 0;
 };
 
+/// Host worker-thread count from FEM2_HOST_THREADS (1..256), or
+/// `fallback` when it is unset or out of range.
+unsigned host_threads(unsigned fallback);
+
 class Engine {
  public:
   using Action = std::function<void()>;
   using Hook = std::function<void()>;
 
-  /// Reads FEM2_HOST_THREADS (default 1) for the worker-pool size.
+  /// The worker-pool size starts at host_threads(1).
   Engine();
   ~Engine();
 
@@ -103,13 +107,26 @@ class Engine {
   Cycles now() const;
   /// Shard of the current context (the global shard from the host).
   std::uint32_t current_shard() const;
-  /// Key of the event currently executing (host context: a synthetic key
-  /// at now() on the global shard).  Used to tag deferred work so barriers
-  /// can replay it in exact serial order.
-  EventKey current_key() const;
-  /// True while a parallel phase is executing — layers must buffer
-  /// cross-shard work instead of performing it.
+  /// True while a parallel phase is executing — shared state needs its
+  /// lock, and cross-shard work must go through sequenced().
   bool in_worker_phase() const { return in_worker_phase_; }
+
+  /// Run `effect` where the serial engine would: at once outside a
+  /// parallel phase, or — inside one — after the workers join, when every
+  /// effect deferred during the phase replays on the coordinator in the
+  /// key order of the events that deferred it (effects of one event keep
+  /// their call order).  Cross-shard work (network launches, trace
+  /// records, observer callbacks) funnels through here, so its order is
+  /// thread-count invariant.  `effect` must capture its arguments by value.
+  template <class F>
+  void sequenced(F&& effect) {
+    if (!in_worker_phase_) {
+      effect();
+      return;
+    }
+    shards_[current_shard()].deferred.push_back(
+        Event{current_key(), Action(std::forward<F>(effect))});
+  }
 
   // --- scheduling -------------------------------------------------------
   /// Schedule `action` on the current context's shard, `delay` cycles
@@ -154,12 +171,6 @@ class Engine {
   /// idle with live tasks remaining (deadlock / starvation).
   void set_idle_hook(Hook hook) { idle_hook_ = std::move(hook); }
 
-  /// Invoked after every execution phase, on the coordinator thread, with
-  /// no event in flight.  Layers use this to flush work buffered during
-  /// the phase (deferred network sends, observer callbacks) in
-  /// deterministic shard order.  Hooks run in registration order.
-  void add_barrier_hook(Hook hook);
-
   /// Invoked whenever virtual time crosses a window boundary B (before
   /// any event at time >= B executes): every event with time < B has
   /// executed.  With window 0 this fires before every phase.  Used for
@@ -184,6 +195,8 @@ class Engine {
     EventKey last_key;  ///< key of this shard's last executed event
     std::exception_ptr error;
     EventKey error_key;
+    /// This phase's sequenced() effects, keyed by the deferring event.
+    std::vector<Event> deferred;
   };
 
   /// Thread-local execution context: set while an event's action runs.
@@ -197,6 +210,9 @@ class Engine {
   bool in_context() const {
     return context_ != nullptr && context_->engine == this;
   }
+  /// Key of the event currently executing (host context: a synthetic key
+  /// at now() on the global shard).
+  EventKey current_key() const;
 
   /// Pop and execute one event on `shard` with the proper context.
   void execute(std::uint32_t shard);
@@ -207,7 +223,8 @@ class Engine {
   void worker_main(unsigned slot, std::uint64_t seen);
   void ensure_pool();
   void stop_pool();
-  void run_barrier_hooks();
+  /// Replay every shard's deferred effects in key order (coordinator).
+  void run_deferred();
   void fire_refresh_up_to(Cycles next_time);
   void maybe_quiescent(Cycles settled);
   void rethrow_phase_error();
@@ -221,7 +238,6 @@ class Engine {
 
   Hook quiescent_hook_;
   Hook idle_hook_;
-  std::vector<Hook> barrier_hooks_;
   std::vector<Hook> refresh_hooks_;
 
   // Worker pool.  Workers spin on phase_epoch_; the coordinator publishes

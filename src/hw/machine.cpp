@@ -36,9 +36,6 @@ Machine::Machine(const MachineConfig& config)
   metrics_.network.traffic_matrix.assign(config_.clusters * config_.clusters,
                                          0);
   net_deltas_ = std::vector<NetDeltas>(engine_.shard_count());
-  net_buffers_.resize(engine_.shard_count());
-  trace_buffers_.resize(engine_.shard_count());
-  engine_.add_barrier_hook([this] { flush_network(); });
 }
 
 void Machine::check_cluster(ClusterId cluster) const {
@@ -57,10 +54,6 @@ const Machine::PeSlot& Machine::slot(PeId pe) const {
   return pes_[pe_flat_index(pe)];
 }
 
-PeMetrics& Machine::pe_metrics(PeId pe) {
-  return metrics_.pes[pe_flat_index(pe)];
-}
-
 Machine::NetDeltas& Machine::net_delta() const {
   return net_deltas_[engine_.current_shard()];
 }
@@ -69,16 +62,7 @@ const Topology& Machine::topology() const { return *topology_; }
 
 void Machine::record_trace(const TraceEvent& ev) {
   if (tracer_ == nullptr) return;
-  if (trace_sink_ != nullptr) {
-    trace_sink_->push_back(PendingTrace{flush_order_key_, ev});
-    return;
-  }
-  if (engine_.in_worker_phase()) {
-    trace_buffers_[engine_.current_shard()].push_back(
-        PendingTrace{engine_.current_key(), ev});
-    return;
-  }
-  tracer_->record(ev);
+  engine_.sequenced([tracer = tracer_, ev] { tracer->record(ev); });
 }
 
 void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
@@ -98,75 +82,60 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
     auto& nd = net_delta();
     nd.local_messages += 1;
     nd.local_bytes += bytes;
-    Cycles start = now() + config_.intra_cluster_latency;
-    if (config_.model_memory_contention) {
-      const auto transfer = static_cast<Cycles>(
-          config_.memory_cycles_per_byte * static_cast<double>(bytes));
-      auto& port = clusters_[dst.index].memory_port_free_at;
-      start = std::max(start, port);
-      port = start + transfer;
-      nd.memory_port_busy_cycles += transfer;
-      start += transfer;
-    }
+    const auto transfer = static_cast<Cycles>(
+        config_.memory_cycles_per_byte * static_cast<double>(bytes));
+    auto& port = clusters_[dst.index].memory_port_free_at;
+    port = std::max(now() + config_.intra_cluster_latency, port) + transfer;
+    nd.memory_port_busy_cycles += transfer;
     record_trace({now(), TraceKind::MessageSent, src, 0xffffffffu, bytes});
     Packet packet{src, dst, bytes, std::move(payload)};
     engine_.schedule_at(
-        start, [this, src, dst, bytes, packet = std::move(packet)]() mutable {
+        port, [this, src, dst, bytes, packet = std::move(packet)]() mutable {
           deliver_packet(src, dst, bytes, std::move(packet));
         });
     return;
   }
 
   // Inter-cluster: reserve the delivery's identity now (so sequence
-  // counters advance identically in serial and parallel mode), then launch
-  // immediately in serial contexts or at the window barrier during a
+  // counters advance identically in serial and parallel mode), and launch
+  // in serial order — inline, or at the window barrier when sent from a
   // parallel phase.  The lookahead (network launch latency) guarantees the
   // delivery cannot land before the barrier.
-  PendingSend ps{src,   dst,
-                 bytes, std::move(payload),
-                 now(), engine_.current_key(),
-                 engine_.reserve_origin()};
-  if (engine_.in_worker_phase()) {
-    net_buffers_[engine_.current_shard()].push_back(std::move(ps));
-  } else {
-    launch_packet(ps);
-  }
+  engine_.sequenced([this, src, dst, bytes, payload = std::move(payload),
+                     send_time = now(),
+                     origin = engine_.reserve_origin()]() mutable {
+    launch_packet(src, dst, bytes, std::move(payload), send_time, origin);
+  });
 }
 
-void Machine::launch_packet(PendingSend& ps) {
-  auto& l = link(ps.src, ps.dst);
+void Machine::launch_packet(ClusterId src, ClusterId dst, std::size_t bytes,
+                            std::any payload, Cycles send_time,
+                            EventOrigin origin) {
+  auto& l = link(src, dst);
   if (l.severed ||
       (l.drop_probability > 0.0 && net_rng_.chance(l.drop_probability))) {
-    drop_packet(ps.src, ps.dst, ps.bytes, ps.send_time);
+    drop_packet(src, dst, bytes, send_time);
     return;
   }
   metrics_.network.messages += 1;
-  metrics_.network.bytes += ps.bytes;
-  const Cycles launch = topology_->launch_delay(ps.src, ps.dst, ps.send_time);
+  metrics_.network.bytes += bytes;
+  const Cycles launch = topology_->launch_delay(src, dst, send_time);
   FEM2_CHECK_MSG(launch >= engine_.window(),
                  "topology launch delay below the PDES lookahead");
   const auto transfer = static_cast<Cycles>(
-      topology_->cycles_per_byte(ps.src, ps.dst) *
-      static_cast<double>(ps.bytes));
-  Cycles start = ps.send_time + launch;
-  if (config_.model_network_contention) {
-    auto& ch = channel_free_at_[topology_->channel(ps.src, ps.dst)];
-    start = std::max(start, ch);
-    ch = start + transfer;
-    metrics_.network.channel_busy_cycles += transfer;
-  }
+      topology_->cycles_per_byte(src, dst) * static_cast<double>(bytes));
+  auto& ch = channel_free_at_[topology_->channel(src, dst)];
+  const Cycles start = std::max(send_time + launch, ch);
+  ch = start + transfer;
+  metrics_.network.channel_busy_cycles += transfer;
   const Cycles deliver_at = start + transfer;
-  // launch_packet always runs in deterministic serial order (inline or at
-  // the window barrier), so sampling here is thread-count invariant.
-  metrics_.network.latency.record(deliver_at - ps.send_time);
-  record_trace(
-      {ps.send_time, TraceKind::MessageSent, ps.src, 0xffffffffu, ps.bytes});
-  Packet packet{ps.src, ps.dst, ps.bytes, std::move(ps.payload)};
-  const ClusterId src = ps.src;
-  const ClusterId dst = ps.dst;
-  const std::size_t bytes = ps.bytes;
+  // launch_packet always runs in serial order, so sampling here is
+  // thread-count invariant.
+  metrics_.network.latency.record(deliver_at - send_time);
+  record_trace({send_time, TraceKind::MessageSent, src, 0xffffffffu, bytes});
+  Packet packet{src, dst, bytes, std::move(payload)};
   engine_.schedule_reserved(
-      dst.index, deliver_at, ps.origin,
+      dst.index, deliver_at, origin,
       [this, src, dst, bytes, packet = std::move(packet)]() mutable {
         deliver_packet(src, dst, bytes, std::move(packet));
       });
@@ -188,54 +157,6 @@ void Machine::deliver_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   cm.queue_peak = std::max<std::uint64_t>(cm.queue_peak, cl.queue.size());
   record_trace({now(), TraceKind::MessageDelivered, dst, 0xffffffffu, bytes});
   notify_service(dst);
-}
-
-void Machine::flush_network() {
-  const std::uint32_t nshards = engine_.shard_count();
-  bool have_work = false;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    if (!net_buffers_[s].empty() || !trace_buffers_[s].empty()) {
-      have_work = true;
-      break;
-    }
-  }
-  if (!have_work) return;
-
-  // Merge buffered sends into exact serial order: per-shard buffers are
-  // already sorted by sending-event key (a shard executes its events in
-  // key order), and keys never collide across shards.
-  std::vector<PendingSend> sends;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    auto& buf = net_buffers_[s];
-    std::move(buf.begin(), buf.end(), std::back_inserter(sends));
-    buf.clear();
-  }
-  std::stable_sort(sends.begin(), sends.end(),
-                   [](const PendingSend& a, const PendingSend& b) {
-                     return a.order < b.order;
-                   });
-
-  std::vector<PendingTrace> records;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    auto& buf = trace_buffers_[s];
-    std::move(buf.begin(), buf.end(), std::back_inserter(records));
-    buf.clear();
-  }
-
-  trace_sink_ = &records;
-  for (auto& ps : sends) {
-    flush_order_key_ = ps.order;
-    launch_packet(ps);
-  }
-  trace_sink_ = nullptr;
-
-  if (tracer_ != nullptr && !records.empty()) {
-    std::stable_sort(records.begin(), records.end(),
-                     [](const PendingTrace& a, const PendingTrace& b) {
-                       return a.key < b.key;
-                     });
-    for (const auto& r : records) tracer_->record(r.event);
-  }
 }
 
 std::optional<Packet> Machine::pop_packet(ClusterId cluster) {
@@ -460,12 +381,6 @@ const Machine::LinkSlot& Machine::link(ClusterId src, ClusterId dst) const {
 void Machine::set_drop_probability(double p) {
   FEM2_CHECK_MSG(p >= 0.0 && p < 1.0, "drop probability must be in [0, 1)");
   for (auto& l : links_) l.drop_probability = p;
-}
-
-void Machine::set_link_drop_probability(ClusterId src, ClusterId dst,
-                                        double p) {
-  FEM2_CHECK_MSG(p >= 0.0 && p < 1.0, "drop probability must be in [0, 1)");
-  link(src, dst).drop_probability = p;
 }
 
 void Machine::fail_link(ClusterId src, ClusterId dst) {

@@ -126,8 +126,6 @@ class Machine {
   // --- lossy / severable inter-cluster network ---------------------------
   /// Set the drop probability of every inter-cluster link (0 disables).
   void set_drop_probability(double p);
-  /// Per-link override (src→dst direction only).
-  void set_link_drop_probability(ClusterId src, ClusterId dst, double p);
   /// Sever / repair one directed link.  A severed link drops everything.
   void fail_link(ClusterId src, ClusterId dst);
   void restore_link(ClusterId src, ClusterId dst);
@@ -145,7 +143,6 @@ class Machine {
   /// master table (deterministic shard order).  Host/coordinator context
   /// only — never call from inside a parallel phase.
   const MachineMetrics& metrics() const;
-  PeMetrics& pe_metrics(PeId pe);
 
   /// Attach an execution tracer (optional; not owned).  Pass nullptr to
   /// detach.
@@ -175,24 +172,6 @@ class Machine {
     bool severed = false;
   };
 
-  /// An inter-cluster send buffered during a parallel phase.  `order` is
-  /// the key of the sending event (the exact serial launch order);
-  /// `origin` is the delivery event's pre-reserved identity.
-  struct PendingSend {
-    ClusterId src;
-    ClusterId dst;
-    std::size_t bytes = 0;
-    std::any payload;
-    Cycles send_time = 0;
-    EventKey order;
-    EventOrigin origin;
-  };
-
-  struct PendingTrace {
-    EventKey key;
-    TraceEvent event;
-  };
-
   /// Network scalars that cluster-shard events update; folded into
   /// metrics_.network on read, in shard order.
   struct NetDeltas {
@@ -215,15 +194,15 @@ class Machine {
   void drop_packet(ClusterId src, ClusterId dst, std::size_t bytes, Cycles at);
 
   /// Launch one inter-cluster packet (link lottery, channel contention,
-  /// delivery scheduling).  Runs at send time in serial contexts and at
-  /// the window barrier for sends buffered during a parallel phase — in
-  /// both cases in exact serial order with identical RNG draws.
-  void launch_packet(PendingSend& ps);
+  /// delivery scheduling).  Sequenced through the engine, so it runs in
+  /// exact serial order with identical RNG draws at every thread count.
+  void launch_packet(ClusterId src, ClusterId dst, std::size_t bytes,
+                     std::any payload, Cycles send_time, EventOrigin origin);
   /// The arrival half of a send: runs on the destination's shard.
   void deliver_packet(ClusterId src, ClusterId dst, std::size_t bytes,
                       Packet packet);
-  /// Barrier hook: replays buffered sends and trace records in key order.
-  void flush_network();
+  /// Records through the engine's sequencer, so the trace is emitted in
+  /// serial order at every thread count.
   void record_trace(const TraceEvent& ev);
   NetDeltas& net_delta() const;
   void fold_metrics() const;
@@ -239,11 +218,7 @@ class Machine {
   WorkLostHandler work_lost_;
   ClusterLostHandler cluster_lost_;
   mutable MachineMetrics metrics_;
-  mutable std::vector<NetDeltas> net_deltas_;       ///< one per shard
-  std::vector<std::vector<PendingSend>> net_buffers_;   ///< one per shard
-  std::vector<std::vector<PendingTrace>> trace_buffers_;  ///< one per shard
-  std::vector<PendingTrace>* trace_sink_ = nullptr;  ///< set during flush
-  EventKey flush_order_key_;
+  mutable std::vector<NetDeltas> net_deltas_;  ///< one per shard
   Tracer* tracer_ = nullptr;
   std::size_t failed_count_ = 0;
   std::size_t failed_clusters_ = 0;

@@ -76,12 +76,6 @@ void DenseMatrix::add_scaled(const DenseMatrix& other, double alpha) {
     data_[i] += alpha * other.data_[i];
 }
 
-double DenseMatrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 double DenseMatrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));

@@ -38,7 +38,6 @@ class DenseMatrix {
 
   void add_scaled(const DenseMatrix& other, double alpha);  ///< A += αB
 
-  double frobenius_norm() const;
   double max_abs() const;
 
   bool is_symmetric(double tol = 1e-12) const;

@@ -33,14 +33,7 @@ SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
   SolveResult out;
   out.x.assign(n, 0.0);
 
-  // Explicit preconditioner wins; the jacobi_preconditioner flag is
-  // shorthand that builds one here.
-  std::unique_ptr<JacobiPreconditioner> owned_jacobi;
   const Preconditioner* precond = options.preconditioner;
-  if (precond == nullptr && options.jacobi_preconditioner) {
-    owned_jacobi = std::make_unique<JacobiPreconditioner>(a);
-    precond = owned_jacobi.get();
-  }
   if (precond != nullptr) FEM2_CHECK(precond->size() == n);
   out.report.method = precond ? "pcg-" + precond->name() : "cg";
 

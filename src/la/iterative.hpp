@@ -19,10 +19,8 @@ struct SolveOptions {
   double tolerance = 1e-10;      ///< relative residual ‖r‖/‖b‖ target
   std::size_t max_iterations = 10'000;
   double sor_omega = 1.0;        ///< 1.0 == plain Gauss-Seidel
-  bool jacobi_preconditioner = false;  ///< for CG; shorthand for Jacobi
-  /// For CG: explicit preconditioner (see la/precond.hpp).  Takes
-  /// precedence over jacobi_preconditioner; not owned, must outlive
-  /// the solve.
+  /// For CG: optional preconditioner (see la/precond.hpp); not owned,
+  /// must outlive the solve.
   const Preconditioner* preconditioner = nullptr;
 };
 

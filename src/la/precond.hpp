@@ -37,8 +37,6 @@ class JacobiPreconditioner final : public Preconditioner {
   std::string name() const override { return "jacobi"; }
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  std::span<const double> inverse_diagonal() const { return inv_diag_; }
-
  private:
   Vector inv_diag_;
 };
@@ -74,8 +72,6 @@ class TwoLevelPreconditioner final : public Preconditioner {
   std::size_t size() const override { return aggregate_of_.size(); }
   std::string name() const override { return "two-level"; }
   void apply(std::span<const double> r, std::span<double> z) const override;
-
-  std::size_t coarse_size() const { return coarse_->size(); }
 
  private:
   CsrMatrix a_;  ///< fine operator (pattern shared with the caller's matrix)

@@ -112,11 +112,6 @@ Vector SkylineMatrix::solve(std::span<const double> b) const {
   return y;
 }
 
-double SkylineMatrix::mean_column_height() const {
-  if (size() == 0) return 0.0;
-  return static_cast<double>(values_.size()) / static_cast<double>(size());
-}
-
 std::size_t SkylineMatrix::max_column_height() const {
   std::size_t m = 0;
   for (std::size_t j = 0; j < size(); ++j) m = std::max(m, col_height(j));

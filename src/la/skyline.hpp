@@ -29,8 +29,6 @@ class SkylineMatrix {
   double& at(std::size_t i, std::size_t j);
   double value_at(std::size_t i, std::size_t j) const;  ///< 0 outside profile
 
-  /// Stored coefficients (profile entries only).
-  std::size_t profile_entries() const { return values_.size(); }
   std::size_t storage_bytes() const;
 
   /// In-place L Lᵀ factorization.  Throws support::Error if not SPD.
@@ -40,8 +38,7 @@ class SkylineMatrix {
   /// Solve A x = b using the factorization (factorize() must have run).
   Vector solve(std::span<const double> b) const;
 
-  /// Mean/max column height of the profile (bandwidth statistics).
-  double mean_column_height() const;
+  /// Max column height of the profile (bandwidth statistic).
   std::size_t max_column_height() const;
 
  private:

@@ -1,12 +1,12 @@
 // Compressed sparse row storage.
 //
-// Two assembly paths feed a CsrMatrix:
+// Two ways to build a CsrMatrix:
 //  * TripletBuilder — one-shot: accumulate (row, col, value) triplets
 //    (duplicates sum, as element contributions do) and compress.
-//  * SparsityPattern + CsrAssembler — symbolic-then-numeric: the pattern
+//  * SparsityPattern + a value array — symbolic-then-numeric: the pattern
 //    (row_ptr / col_idx) is built once per mesh and shared between every
-//    numeric fill, so per-step assembly touches only the value array.
-//    This is the MiniFE-style split the FEM assembly pipeline uses.
+//    numeric fill, so per-step assembly touches only the values.  This is
+//    the MiniFE-style split fem::AssemblyPlan uses.
 #pragma once
 
 #include <cstddef>
@@ -135,41 +135,5 @@ class CsrMatrix {
   std::shared_ptr<const SparsityPattern> pattern_;
   std::vector<double> values_;
 };
-
-/// Numeric assembly over a fixed SparsityPattern: zero the values, scatter
-/// element contributions (accumulating duplicates), take the matrix.
-/// add() binary-searches the row; add_at() scatters by a precomputed
-/// offset (see fem::AssemblyPlan) and is branch-free.
-class CsrAssembler {
- public:
-  explicit CsrAssembler(std::shared_ptr<const SparsityPattern> pattern);
-
-  /// Zero all values for the next numeric pass.
-  void reset();
-
-  void add(std::size_t row, std::size_t col, double value);
-  void add_at(std::size_t offset, double value) { values_[offset] += value; }
-
-  const SparsityPattern& pattern() const { return *pattern_; }
-
-  /// The assembled matrix (shares the pattern; copies the values so the
-  /// assembler can keep filling future steps).
-  CsrMatrix matrix() const { return CsrMatrix(pattern_, values_); }
-
-  /// Move the values out (final step of a single-shot assembly).
-  CsrMatrix take_matrix() { return CsrMatrix(pattern_, std::move(values_)); }
-
- private:
-  std::shared_ptr<const SparsityPattern> pattern_;
-  std::vector<double> values_;
-};
-
-/// Solve L x = b with L the lower-triangular part (diagonal included) of
-/// `a`; entries above the diagonal are ignored.  Requires a nonzero
-/// diagonal.  Building block for Gauss-Seidel-style smoothers.
-Vector lower_triangular_solve(const CsrMatrix& a, std::span<const double> b);
-
-/// Solve U x = b with U the upper-triangular part (diagonal included).
-Vector upper_triangular_solve(const CsrMatrix& a, std::span<const double> b);
 
 }  // namespace fem2::la

@@ -2,43 +2,8 @@
 
 namespace fem2::navm {
 
-namespace {
-
-// Registry locks engage only during parallel engine phases; everywhere
-// else a single thread owns the registries (see sysvm/os.cpp).
-class OptSharedLock {
- public:
-  OptSharedLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock_shared();
-  }
-  ~OptSharedLock() {
-    if (mutex_ != nullptr) mutex_->unlock_shared();
-  }
-  OptSharedLock(const OptSharedLock&) = delete;
-  OptSharedLock& operator=(const OptSharedLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-class OptUniqueLock {
- public:
-  OptUniqueLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~OptUniqueLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-  OptUniqueLock(const OptUniqueLock&) = delete;
-  OptUniqueLock& operator=(const OptUniqueLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-}  // namespace
+using sysvm::OptSharedLock;
+using sysvm::OptUniqueLock;
 
 Runtime::Runtime(sysvm::Os& os) : os_(os) {
   register_builtin_procedures();
@@ -119,10 +84,11 @@ Window Runtime::create_array(TaskContext& ctx, std::size_t rows,
   }
   const Window full{id, 0, 0, rows, cols};
   if (observer_ != nullptr) {
-    os_.sequenced([obs = observer_, id, owner = ctx.self(), full] {
-      obs->on_array_created(id, owner);
-      obs->on_array_write(full);  // the initialization store
-    });
+    os_.machine().engine().sequenced(
+        [obs = observer_, id, owner = ctx.self(), full] {
+          obs->on_array_created(id, owner);
+          obs->on_array_write(full);  // the initialization store
+        });
   }
   return full;
 }
@@ -176,7 +142,7 @@ hw::ClusterId Runtime::window_cluster(const Window& window) const {
 
 std::vector<double> Runtime::gather(const Window& window) const {
   if (observer_ != nullptr) {
-    os_.sequenced(
+    os_.machine().engine().sequenced(
         [obs = observer_, window] { obs->on_array_read(window); });
   }
   const ArrayInfo& info = array_info(window.array);
@@ -195,15 +161,14 @@ std::vector<double> Runtime::gather(const Window& window) const {
 
 void Runtime::note_remote_window_wait(const Window& window, hw::Cycles wait) {
   if (observer_ == nullptr) return;
-  os_.sequenced(
-      [obs = observer_, window, wait] {
-        obs->on_remote_window_wait(window, wait);
-      });
+  os_.machine().engine().sequenced([obs = observer_, window, wait] {
+    obs->on_remote_window_wait(window, wait);
+  });
 }
 
 void Runtime::scatter(const Window& window, std::span<const double> data) {
   if (observer_ != nullptr) {
-    os_.sequenced(
+    os_.machine().engine().sequenced(
         [obs = observer_, window] { obs->on_array_write(window); });
   }
   const ArrayInfo& const_info = array_info(window.array);
@@ -252,9 +217,10 @@ std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
   auto& c = *cp;
   FEM2_CHECK_MSG(c.items.size() >= c.expected, "collector not full");
   if (observer_ != nullptr) {
-    os_.sequenced([obs = observer_, id, owner = c.owner] {
-      obs->on_collector_take(id, owner);
-    });
+    os_.machine().engine().sequenced(
+        [obs = observer_, id, owner = c.owner] {
+          obs->on_collector_take(id, owner);
+        });
   }
   std::vector<sysvm::Payload> out = std::move(c.items);
   c.items.clear();  // auto-reset for the next phase
@@ -354,7 +320,7 @@ sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
     return sysvm::Payload{};
   }
   if (observer_ != nullptr) {
-    os_.sequenced(
+    os_.machine().engine().sequenced(
         [obs = observer_, collector = da.collector, depositor = da.depositor] {
           obs->on_deposit(collector, depositor);
         });

@@ -14,10 +14,6 @@ using sysvm::Payload;
 
 inline Payload payload_int(std::int64_t v) { return Payload::of(v, 8); }
 inline Payload payload_real(double v) { return Payload::of(v, 8); }
-inline Payload payload_string(std::string v) {
-  const std::size_t n = v.size();
-  return Payload::of(std::move(v), n + 8);
-}
 inline Payload payload_reals(std::vector<double> v) {
   const std::size_t n = v.size();
   return Payload::of(std::move(v), n * sizeof(double) + 16);

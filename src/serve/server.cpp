@@ -1,20 +1,15 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "hw/event.hpp"
 #include "support/check.hpp"
 
 namespace fem2::serve {
 
 unsigned Server::default_pool_width() {
-  if (const char* env = std::getenv("FEM2_HOST_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v >= 1 && v <= 256) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 256u);
+  return hw::host_threads(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 256u));
 }
 
 Server::Server(std::shared_ptr<db::Engine> engine, ServerOptions options)
@@ -180,10 +175,6 @@ std::vector<appvm::DatabaseVersionInfo> Server::history(
 
 void Server::set_quota(const std::string& tenant, TenantQuota quota) {
   admission_.set_quota(tenant, quota);
-}
-
-TenantStats Server::tenant_stats(const std::string& tenant) const {
-  return admission_.stats_for(tenant);
 }
 
 ServerStats Server::stats() const {

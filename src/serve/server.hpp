@@ -120,7 +120,6 @@ class Server {
 
   // --- admin --------------------------------------------------------------
   void set_quota(const std::string& tenant, TenantQuota quota);
-  TenantStats tenant_stats(const std::string& tenant) const;
   ServerStats stats() const;
   unsigned workers() const { return pool_width_; }
   /// Injectable backoff wait for call_with_retry (tests record instead of

@@ -46,7 +46,6 @@ class Heap {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t in_use() const { return stats_.in_use; }
-  std::size_t free_bytes() const { return capacity_ - stats_.in_use; }
   std::size_t largest_free_block() const;
   std::size_t block_size(std::size_t address) const;
   std::size_t live_blocks() const { return allocated_.size(); }

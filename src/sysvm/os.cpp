@@ -8,46 +8,6 @@
 
 namespace fem2::sysvm {
 
-namespace {
-
-// Registry locks engage only while a parallel phase is executing; outside
-// phases (serial mode, barriers, stop-world recovery, host calls) exactly
-// one thread touches the registries and the phase barrier already orders
-// the accesses, so the lock would be pure overhead.
-class OptSharedLock {
- public:
-  OptSharedLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock_shared();
-  }
-  ~OptSharedLock() {
-    if (mutex_ != nullptr) mutex_->unlock_shared();
-  }
-  OptSharedLock(const OptSharedLock&) = delete;
-  OptSharedLock& operator=(const OptSharedLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-class OptUniqueLock {
- public:
-  OptUniqueLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~OptUniqueLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-  OptUniqueLock(const OptUniqueLock&) = delete;
-  OptUniqueLock& operator=(const OptUniqueLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TaskApi
 
@@ -289,7 +249,6 @@ Os::Os(hw::Machine& machine, OsOptions options)
   machine_.set_work_lost_handler([this](hw::ClusterId c) { on_work_lost(c); });
   machine_.set_cluster_lost_handler(
       [this](hw::ClusterId c) { on_cluster_lost(c); });
-  machine_.engine().add_barrier_hook([this] { replay_observations(); });
   machine_.engine().add_refresh_hook([this] { refresh_load_board(); });
 }
 
@@ -319,37 +278,10 @@ CallToken Os::allocate_call_token() {
   return lane.next_call_token++ * lanes_.size() + idx + 1;
 }
 
-void Os::sequenced(std::function<void()> thunk) {
-  auto& engine = machine_.engine();
-  if (!engine.in_worker_phase()) {
-    thunk();
-    return;
-  }
-  lanes_[engine.current_shard()].observations.emplace_back(
-      engine.current_key(), std::move(thunk));
-}
-
 void Os::notify_observer(std::function<void(OsObserver&)> fill) {
   if (observer_ == nullptr) return;
-  sequenced([obs = observer_, fill = std::move(fill)] { fill(*obs); });
-}
-
-void Os::replay_observations() {
-  std::size_t total = 0;
-  for (const ShardLane& lane : lanes_) total += lane.observations.size();
-  if (total == 0) return;
-  std::vector<std::pair<hw::EventKey, std::function<void()>>> all;
-  all.reserve(total);
-  for (ShardLane& lane : lanes_) {
-    for (auto& entry : lane.observations) all.push_back(std::move(entry));
-    lane.observations.clear();
-  }
-  // stable_sort keeps the append order of thunks with equal keys; all
-  // thunks of one event live in one lane, so this is the emission order.
-  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  for (auto& [key, thunk] : all) thunk();
+  machine_.engine().sequenced(
+      [obs = observer_, fill = std::move(fill)] { fill(*obs); });
 }
 
 void Os::refresh_load_board() {
@@ -622,18 +554,16 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
   // lane so they need no cross-shard state; a cluster may receive the
   // same code block from two lanes, which models independent kernels
   // shipping without a global directory.
-  if (options_.code_loading) {
-    if (const auto* init = std::get_if<MsgInitiate>(&message)) {
-      ShardLane& ln = lane();
-      auto key = std::make_pair(to.index, init->task_type);
-      if (!ln.shipped_code.contains(key)) {
-        ln.shipped_code.insert(std::move(key));
-        const auto it = code_.find(init->task_type);
-        MsgLoadCode lc;
-        lc.task_type = init->task_type;
-        lc.code_bytes = it != code_.end() ? it->second.code_bytes : 4096;
-        send(from, to, Message{std::move(lc)});
-      }
+  if (const auto* init = std::get_if<MsgInitiate>(&message)) {
+    ShardLane& ln = lane();
+    auto key = std::make_pair(to.index, init->task_type);
+    if (!ln.shipped_code.contains(key)) {
+      ln.shipped_code.insert(std::move(key));
+      const auto it = code_.find(init->task_type);
+      MsgLoadCode lc;
+      lc.task_type = init->task_type;
+      lc.code_bytes = it != code_.end() ? it->second.code_bytes : 4096;
+      send(from, to, Message{std::move(lc)});
     }
   }
 

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <shared_mutex>
@@ -40,6 +41,26 @@
 namespace fem2::sysvm {
 
 class Os;
+
+/// Registry locks that engage only while a parallel engine phase is
+/// executing.  Outside phases (serial mode, barriers, stop-world recovery,
+/// host calls) exactly one thread touches the registries and the phase
+/// barrier already orders the accesses, so the lock would be pure overhead.
+class OptSharedLock : std::shared_lock<std::shared_mutex> {
+ public:
+  OptSharedLock(std::shared_mutex& mutex, bool engage)
+      : shared_lock(mutex, std::defer_lock) {
+    if (engage) lock();
+  }
+};
+
+class OptUniqueLock : std::unique_lock<std::shared_mutex> {
+ public:
+  OptUniqueLock(std::shared_mutex& mutex, bool engage)
+      : unique_lock(mutex, std::defer_lock) {
+    if (engage) lock();
+  }
+};
 
 /// Outcome of running one task step (from one resumption to the next
 /// suspension point).
@@ -189,8 +210,6 @@ enum class Placement { RoundRobin, LeastLoaded, Local };
 
 struct OsOptions {
   Placement placement = Placement::LeastLoaded;
-  /// Model load-code messages to clusters that have not seen a task type.
-  bool code_loading = true;
   HeapPolicy heap_policy = HeapPolicy::FirstFit;
 
   // --- reliable inter-cluster transport ------------------------------------
@@ -322,14 +341,6 @@ class Os {
   /// detach.  At most one observer at a time.
   void set_observer(OsObserver* observer) { observer_ = observer; }
 
-  /// Run `thunk` now in serial contexts, or buffer it (tagged with the
-  /// executing event's key) for replay in exact serial order at the next
-  /// window barrier when called from a parallel phase.  Observer callbacks
-  /// from every layer funnel through this single sequencer so their
-  /// relative order is preserved; thunks must capture their arguments by
-  /// value.
-  void sequenced(std::function<void()> thunk);
-
   // --- wait-state introspection (deadlock analysis) -------------------------
   /// Why a task is not running, exposed without touching TaskApi internals.
   struct WaitInfo {
@@ -438,9 +449,6 @@ class Os {
     std::vector<std::int64_t> load_delta;
     /// (cluster, task type) pairs this lane has shipped code for.
     std::set<std::pair<std::uint32_t, std::string>> shipped_code;
-    /// Observer thunks buffered during a parallel phase, tagged with the
-    /// emitting event's key for deterministic replay.
-    std::vector<std::pair<hw::EventKey, std::function<void()>>> observations;
   };
 
   // --- reliable transport ----------------------------------------------------
@@ -480,12 +488,10 @@ class Os {
   const ShardLane& lane() const;
   TaskId make_task_id();
   std::uint64_t make_incarnation();
-  /// Barrier hook: replays buffered observer thunks in event-key order.
-  void replay_observations();
   /// Refresh hook (window boundaries): folds every lane's load deltas into
   /// the authoritative load board.
   void refresh_load_board();
-  /// Wrap an observer callback through the sequencer (no-op when no
+  /// Sequence an observer callback through the engine (no-op when no
   /// observer is attached).  `fill` must capture by value.
   void notify_observer(std::function<void(OsObserver&)> fill);
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "analyze/analyzer.hpp"
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
@@ -108,7 +111,6 @@ TEST(Machine, IntraClusterIsFasterThanNetwork) {
 
 TEST(Machine, NetworkChannelSerializes) {
   auto config = small_config();
-  config.model_network_contention = true;
   Machine machine(config);
   std::vector<Cycles> arrivals;
   machine.set_cluster_service(
@@ -239,7 +241,6 @@ TEST(Machine, UtilizationConservation) {
 
 TEST(Machine, MemoryPortSerializesLocalHandoffs) {
   auto config = small_config();
-  config.model_memory_contention = true;
   config.memory_cycles_per_byte = 1.0;
   Machine machine(config);
   std::vector<Cycles> arrivals;
@@ -335,7 +336,8 @@ TEST(Machine, QueuePeakTracked) {
 // The multi-threaded host backend must be invisible in the simulation:
 // the same workload, seed and fault plan at 1, 2 and 8 host threads has to
 // produce byte-identical machine metrics and OS stats dumps, bit-identical
-// displacements, and the same analyzer findings.  The workload is the full
+// displacements, the same analyzer findings, and the same execution trace,
+// event for event.  The workload is the full
 // stack — distributed CG solve with the analyzer attached, losing a PE at
 // 25% and a whole cluster at 50% of the fault-free run, on a lossy
 // network with reliable transport.
@@ -346,6 +348,10 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
     std::string os_dump;
     std::vector<double> displacements;
     std::vector<std::string> findings;
+    std::vector<std::tuple<Cycles, TraceKind, std::uint32_t, std::uint32_t,
+                           std::size_t>>
+        trace;
+    std::size_t trace_dropped = 0;
   };
 
   MachineConfig config;
@@ -363,6 +369,8 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
                        Cycles kill_cluster_at) {
     Machine machine(config);
     machine.engine().set_threads(threads);
+    Tracer tracer(1'000'000);
+    machine.set_tracer(&tracer);
     sysvm::OsOptions options;
     options.reliable_transport = true;
     sysvm::Os os(machine, options);
@@ -391,6 +399,10 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
     for (const auto& finding : analyzer.findings())
       outcome.findings.push_back(finding.rule + "|" + finding.entity + "|" +
                                  finding.message);
+    for (const TraceEvent& ev : tracer.events())
+      outcome.trace.emplace_back(ev.time, ev.kind, ev.cluster.index, ev.pe,
+                                 ev.bytes);
+    outcome.trace_dropped = tracer.dropped();
     return outcome;
   };
 
@@ -401,6 +413,8 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
   const Cycles kill_cluster_at = probe.elapsed / 2;
 
   const auto base = run(1, kill_pe_at, kill_cluster_at);
+  ASSERT_EQ(base.trace_dropped, 0u);
+  ASSERT_FALSE(base.trace.empty());
   for (const unsigned threads : {2u, 8u}) {
     const auto other = run(threads, kill_pe_at, kill_cluster_at);
     EXPECT_EQ(other.elapsed, base.elapsed) << "threads=" << threads;
@@ -410,6 +424,14 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
     EXPECT_EQ(other.displacements, base.displacements)
         << "threads=" << threads;
     EXPECT_EQ(other.findings, base.findings) << "threads=" << threads;
+    EXPECT_EQ(other.trace_dropped, 0u) << "threads=" << threads;
+    EXPECT_EQ(other.trace.size(), base.trace.size()) << "threads=" << threads;
+    const auto diverge = std::mismatch(other.trace.begin(), other.trace.end(),
+                                       base.trace.begin(), base.trace.end());
+    EXPECT_TRUE(diverge.first == other.trace.end() &&
+                diverge.second == base.trace.end())
+        << "threads=" << threads << ": trace diverges at event "
+        << (diverge.first - other.trace.begin());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "la/dense.hpp"
 #include "la/iterative.hpp"
+#include "la/precond.hpp"
 #include "la/skyline.hpp"
 #include "la/sparse.hpp"
 #include "la/vec_ops.hpp"
@@ -204,8 +205,9 @@ TEST_P(IterativeSolvers, AllConvergeOnRandomSpd) {
               return conjugate_gradient(a, b, o);
             }},
            {"pcg", [](const auto& a, auto b, const auto& o) {
+              const JacobiPreconditioner jacobi(a);
               auto opts = o;
-              opts.jacobi_preconditioner = true;
+              opts.preconditioner = &jacobi;
               return conjugate_gradient(a, b, opts);
             }},
            {"jacobi", [](const auto& a, auto b, const auto& o) {
