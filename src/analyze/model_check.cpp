@@ -56,6 +56,59 @@ class Frontier {
   std::map<std::string, std::pair<std::string, std::string>> parents_;
 };
 
+/// Exhaustive breadth-first search shared by both models.  A model
+/// supplies its initial state (anything with encode()) and
+/// `successors(state, emit)`, which calls `emit(next, label, violation)`
+/// once per transition out of `state`; `violation` names the invariant the
+/// transition breaks, or is empty.  emit() returns false once a violation
+/// has ended the search, and `successors` must then return at once.  Every
+/// emitted transition counts; BFS order makes a counterexample trace the
+/// shortest one.
+template <class State, class Successors>
+ModelCheckResult explore(std::string property, State initial,
+                         std::size_t max_states, Successors successors) {
+  ModelCheckResult result;
+  result.property = std::move(property);
+  Frontier frontier;
+  std::deque<std::pair<State, std::size_t>> queue;  // state, depth
+  frontier.admit(initial.encode(), "", "");
+  queue.emplace_back(std::move(initial), 0);
+
+  while (!queue.empty()) {
+    const auto [state, depth] = std::move(queue.front());
+    queue.pop_front();
+    result.states += 1;
+    const std::string parent = state.encode();
+    bool violated = false;
+    const auto emit = [&](State next, std::string label,
+                          std::string violation) -> bool {
+      result.transitions += 1;
+      if (!violation.empty()) {
+        const std::string key = next.encode() + "!violation";
+        frontier.admit(key, parent, std::move(label));
+        result.violation = std::move(violation);
+        result.trace = frontier.trace_to(key);
+        violated = true;
+        return false;
+      }
+      if (!frontier.admit(next.encode(), parent, std::move(label)))
+        return true;
+      result.depth = std::max(result.depth, depth + 1);
+      if (max_states == 0 || frontier.size() < max_states) {
+        queue.emplace_back(std::move(next), depth + 1);
+      } else {
+        result.bounded_out = true;
+      }
+      return true;
+    };
+    successors(state, emit);
+    if (violated) return result;
+  }
+
+  result.ok = true;
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Protocol 1: the reliable inter-cluster channel (hw/channel.hpp)
 
@@ -115,136 +168,102 @@ std::uint8_t payload_of(std::uint64_t seq) {
 }  // namespace
 
 ModelCheckResult check_messaging(const MessagingModelOptions& options) {
-  ModelCheckResult result;
-  result.property =
-      "reliable channel delivers each message exactly once, in order";
-
   MsgState initial;
   initial.receiver.dedup = options.dedup;
+  const std::size_t capacity = options.network_capacity;
 
-  Frontier frontier;
-  std::deque<std::pair<MsgState, std::size_t>> queue;  // state, depth
-  frontier.admit(initial.encode(), "", "");
-  queue.emplace_back(std::move(initial), 0);
+  return explore(
+      "reliable channel delivers each message exactly once, in order",
+      std::move(initial), options.max_states,
+      [&](const MsgState& state, const auto& emit) {
+        if (state.unreachable) return;  // terminal: the runtime throws here
 
-  // Explores a successor: dedups, checks the delivery invariant, enqueues.
-  // Returns false when a violation ends the search.
-  const auto visit = [&](const MsgState& parent, MsgState child,
-                         std::string label, std::size_t depth,
-                         const std::vector<std::uint8_t>& releases) -> bool {
-    result.transitions += 1;
-    for (const std::uint8_t p : releases) {
-      if (p != child.delivered + 1) {
-        const std::string key = child.encode() + "!violation";
-        frontier.admit(key, parent.encode(), label);
-        result.violation =
-            p <= child.delivered
-                ? "message " + std::to_string(p) + " delivered twice"
-                : "message " + std::to_string(p) +
-                      " delivered before message " +
-                      std::to_string(child.delivered + 1);
-        result.trace = frontier.trace_to(key);
-        return false;
-      }
-      child.delivered += 1;
-    }
-    const std::string key = child.encode();
-    if (!frontier.admit(key, parent.encode(), std::move(label))) return true;
-    result.depth = std::max(result.depth, depth + 1);
-    if (options.max_states == 0 || frontier.size() < options.max_states) {
-      queue.emplace_back(std::move(child), depth + 1);
-    } else {
-      result.bounded_out = true;
-    }
-    return true;
-  };
-
-  while (!queue.empty()) {
-    const auto [state, depth] = std::move(queue.front());
-    queue.pop_front();
-    result.states += 1;
-    if (state.unreachable) continue;  // terminal: the runtime throws here
-
-    // Application hands the channel its next message.
-    if (state.sent < options.messages &&
-        state.network.size() < options.network_capacity) {
-      MsgState next = state;
-      const std::uint64_t seq = next.sender.send(payload_of(next.sent));
-      next.sent += 1;
-      wire_insert(next, WireFrame{false, seq});
-      if (!visit(state, std::move(next), "send(m" + std::to_string(seq + 1) + ")",
-                 depth, {}))
-        return result;
-    }
-
-    // Each in-flight frame can arrive, be lost, or be duplicated.
-    for (std::size_t i = 0; i < state.network.size(); ++i) {
-      const WireFrame frame = state.network[i];
-      const std::string fname = (frame.ack ? "ack" : "m") +
-                                std::to_string(frame.seq + (frame.ack ? 0 : 1));
-
-      {  // arrive
-        MsgState next = state;
-        next.network.erase(next.network.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        std::vector<std::uint8_t> releases;
-        if (frame.ack) {
-          next.sender.acknowledge(frame.seq);
-        } else {
-          auto admission =
-              next.receiver.admit(frame.seq, payload_of(frame.seq));
-          releases = std::move(admission.delivered);
-          // Ack everything that arrives (duplicates included); a full
-          // network drops the ack, which is equivalent to losing it.
-          if (next.network.size() < options.network_capacity)
-            wire_insert(next, WireFrame{true, frame.seq});
+        // Application hands the channel its next message.
+        if (state.sent < options.messages && state.network.size() < capacity) {
+          MsgState next = state;
+          const std::uint64_t seq = next.sender.send(payload_of(next.sent));
+          next.sent += 1;
+          wire_insert(next, WireFrame{false, seq});
+          if (!emit(std::move(next), "send(m" + std::to_string(seq + 1) + ")",
+                    ""))
+            return;
         }
-        if (!visit(state, std::move(next), "deliver(" + fname + ")", depth,
-                   releases))
-          return result;
-      }
-      {  // lost
-        MsgState next = state;
-        next.network.erase(next.network.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        if (!visit(state, std::move(next), "lose(" + fname + ")", depth, {}))
-          return result;
-      }
-      if (state.network.size() < options.network_capacity) {  // duplicated
-        MsgState next = state;
-        wire_insert(next, frame);
-        if (!visit(state, std::move(next), "dup(" + fname + ")", depth, {}))
-          return result;
-      }
-    }
 
-    // A retransmit timer fires for any unacknowledged frame.
-    for (const auto& [seq, unacked] : state.sender.unacked) {
-      MsgState next = state;
-      const auto decision =
-          next.sender.on_timer(seq, options.max_retransmits);
-      std::string label = "timeout(m" + std::to_string(seq + 1) + ")";
-      switch (decision) {
-        case hw::RetransmitDecision::AlreadyAcked:
-          continue;
-        case hw::RetransmitDecision::Exhausted:
-          next.unreachable = true;
-          label += ":unreachable";
-          break;
-        case hw::RetransmitDecision::Resend:
-          // A full network loses the retransmission (the attempt still
-          // counted).
-          if (next.network.size() < options.network_capacity)
-            wire_insert(next, WireFrame{false, seq});
-          break;
-      }
-      if (!visit(state, std::move(next), std::move(label), depth, {}))
-        return result;
-    }
-  }
+        // Each in-flight frame can arrive, be lost, or be duplicated.
+        for (std::size_t i = 0; i < state.network.size(); ++i) {
+          const WireFrame frame = state.network[i];
+          const std::string fname =
+              (frame.ack ? "ack" : "m") +
+              std::to_string(frame.seq + (frame.ack ? 0 : 1));
 
-  result.ok = true;
-  return result;
+          {  // arrive
+            MsgState next = state;
+            next.network.erase(next.network.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+            std::string violation;
+            if (frame.ack) {
+              next.sender.acknowledge(frame.seq);
+            } else {
+              auto admission =
+                  next.receiver.admit(frame.seq, payload_of(frame.seq));
+              // Ack everything that arrives (duplicates included); a full
+              // network drops the ack, which is equivalent to losing it.
+              if (next.network.size() < capacity)
+                wire_insert(next, WireFrame{true, frame.seq});
+              // Invariant: releases continue the delivered sequence.
+              for (const std::uint8_t p : admission.delivered) {
+                if (p != next.delivered + 1) {
+                  violation =
+                      p <= next.delivered
+                          ? "message " + std::to_string(p) + " delivered twice"
+                          : "message " + std::to_string(p) +
+                                " delivered before message " +
+                                std::to_string(next.delivered + 1);
+                  break;
+                }
+                next.delivered += 1;
+              }
+            }
+            if (!emit(std::move(next), "deliver(" + fname + ")",
+                      std::move(violation)))
+              return;
+          }
+          {  // lost
+            MsgState next = state;
+            next.network.erase(next.network.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+            if (!emit(std::move(next), "lose(" + fname + ")", "")) return;
+          }
+          if (state.network.size() < capacity) {  // duplicated
+            MsgState next = state;
+            wire_insert(next, frame);
+            if (!emit(std::move(next), "dup(" + fname + ")", "")) return;
+          }
+        }
+
+        // A retransmit timer fires for any unacknowledged frame.
+        for (const auto& [seq, unacked] : state.sender.unacked) {
+          MsgState next = state;
+          const auto decision =
+              next.sender.on_timer(seq, options.max_retransmits);
+          std::string label = "timeout(m" + std::to_string(seq + 1) + ")";
+          switch (decision) {
+            case hw::RetransmitDecision::AlreadyAcked:
+              continue;
+            case hw::RetransmitDecision::Exhausted:
+              next.unreachable = true;
+              label += ":unreachable";
+              break;
+            case hw::RetransmitDecision::Resend:
+              // A full network loses the retransmission (the attempt still
+              // counted).
+              if (next.network.size() < capacity)
+                wire_insert(next, WireFrame{false, seq});
+              break;
+          }
+          if (!emit(std::move(next), std::move(label), "")) return;
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -307,182 +326,142 @@ std::uint16_t bit(std::uint8_t txn) {
 }  // namespace
 
 ModelCheckResult check_db_health(const HealthModelOptions& options) {
-  ModelCheckResult result;
-  result.property =
-      "no acknowledged commit lost; degraded mode sticky until recover()";
+  return explore(
+      "no acknowledged commit lost; degraded mode sticky until recover()",
+      DbState(options.sticky), options.max_states,
+      [&](const DbState& state, const auto& emit) {
+        // Invariant: leaving degraded mode is only legitimate on recover().
+        const auto step = [&](DbState next, std::string label) {
+          std::string violation;
+          if (state.health.degraded() && !next.health.degraded() &&
+              !label.starts_with("recover"))
+            violation =
+                "degraded mode exited by '" + label + "' without recover()";
+          return emit(std::move(next), std::move(label), std::move(violation));
+        };
 
-  DbState initial(options.sticky);
-  Frontier frontier;
-  std::deque<std::pair<DbState, std::size_t>> queue;
-  frontier.admit(initial.encode(), "", "");
-  queue.emplace_back(std::move(initial), 0);
+        const bool can_commit = state.next_txn <= options.commits &&
+                                !state.health.degraded();
+        const std::uint8_t txn = state.next_txn;
+        // Appended rather than "t" + to_string(): GCC 12 at -O3 reports a
+        // false -Wrestrict on that operator+ once inlined here.
+        std::string tname = "t";
+        tname += std::to_string(txn);
 
-  // Record a violating successor and cut the search.
-  const auto violate = [&](const DbState& parent, const DbState& child,
-                           const std::string& label, std::string what) {
-    const std::string key = child.encode() + "!violation";
-    frontier.admit(key, parent.encode(), label);
-    result.violation = std::move(what);
-    result.trace = frontier.trace_to(key);
-  };
+        if (can_commit) {
+          {  // records logged, fsync durable, client acknowledged
+            DbState next = state;
+            next.wal.push_back(WalEntry{txn, next.torn});
+            next.durable_prefix = static_cast<std::uint8_t>(next.wal.size());
+            next.acked |= bit(txn);
+            next.next_txn += 1;
+            next.health.on_success();
+            if (!step(std::move(next), "commit-ok(" + tname + ")")) return;
+          }
+          {  // append failed, rollback restored the log: clean failure
+            DbState next = state;
+            next.next_txn += 1;
+            next.health.on_failure(db::FailureSite::AppendRollbackOk, tname);
+            if (!step(std::move(next), "append-fail-rollback-ok(" + tname + ")"))
+              return;
+          }
+          {  // append failed AND rollback failed: torn frame in the log
+            DbState next = state;
+            next.torn = true;
+            next.next_txn += 1;
+            next.health.on_failure(db::FailureSite::AppendRollbackFailed,
+                                   tname);
+            if (!step(std::move(next),
+                      "append-fail-rollback-fail(" + tname + ")"))
+              return;
+          }
+          {  // commit fsync failed; the scrub removed the records
+            DbState next = state;
+            next.next_txn += 1;
+            next.health.on_failure(db::FailureSite::CommitFsyncFailed, tname);
+            if (!step(std::move(next), "fsync-fail-scrub-ok(" + tname + ")"))
+              return;
+          }
+          {  // commit fsync failed and the scrub failed too: undurable
+             // records of a failed commit sit in the file (fsync-gate hazard)
+            DbState next = state;
+            next.wal.push_back(WalEntry{txn, true});
+            next.torn = true;
+            next.next_txn += 1;
+            next.health.on_failure(db::FailureSite::CommitFsyncFailed, tname);
+            if (!step(std::move(next), "fsync-fail-scrub-fail(" + tname + ")"))
+              return;
+          }
+        }
 
-  const auto visit = [&](const DbState& parent, DbState child,
-                         std::string label, std::size_t depth) -> bool {
-    result.transitions += 1;
-    // Stickiness: leaving degraded mode is only legitimate on recover().
-    if (parent.health.degraded() && !child.health.degraded() &&
-        !label.starts_with("recover")) {
-      violate(parent, child, label,
-              "degraded mode exited by '" + label + "' without recover()");
-      return false;
-    }
-    const std::string key = child.encode();
-    if (!frontier.admit(key, parent.encode(), std::move(label))) return true;
-    result.depth = std::max(result.depth, depth + 1);
-    if (options.max_states == 0 || frontier.size() < options.max_states) {
-      queue.emplace_back(std::move(child), depth + 1);
-    } else {
-      result.bounded_out = true;
-    }
-    return true;
-  };
+        if (state.checkpoints < options.checkpoints &&
+            !state.health.degraded()) {
+          {  // snapshot published, log reset
+            DbState next = state;
+            next.snapshot |= next.acked;
+            next.wal.clear();
+            next.durable_prefix = 0;
+            next.torn = false;  // the untrusted log content is gone
+            next.checkpoints += 1;
+            next.health.on_success();
+            if (!step(std::move(next), "checkpoint-ok")) return;
+          }
+          {  // snapshot write failed: nothing published, log intact
+            DbState next = state;
+            next.checkpoints += 1;
+            next.health.on_failure(
+                db::FailureSite::CheckpointSnapshotWriteFailed, "checkpoint");
+            if (!step(std::move(next), "checkpoint-snapshot-fail")) return;
+          }
+          {  // snapshot published but the log could not be truncated
+            DbState next = state;
+            next.snapshot |= next.acked;
+            next.torn = true;
+            next.checkpoints += 1;
+            next.health.on_failure(db::FailureSite::CheckpointLogResetFailed,
+                                   "checkpoint");
+            if (!step(std::move(next), "checkpoint-reset-fail")) return;
+          }
+        }
 
-  while (!queue.empty()) {
-    const auto [state, depth] = std::move(queue.front());
-    queue.pop_front();
-    result.states += 1;
+        // The OS flushes the page cache behind the engine's back: everything
+        // in the file becomes durable whether or not fsync succeeded.
+        if (state.durable_prefix < state.wal.size()) {
+          DbState next = state;
+          next.durable_prefix = static_cast<std::uint8_t>(next.wal.size());
+          if (!step(std::move(next), "os-flush")) return;
+        }
 
-    const bool can_commit = state.next_txn <= options.commits &&
-                            !state.health.degraded();
-    const std::uint8_t txn = state.next_txn;
-    const std::string tname = "t" + std::to_string(txn);
+        // A successful read while degraded: must not change health.  (The
+        // non-sticky defect clears degraded mode here; the stickiness check
+        // in step() catches it with a minimal trace.)
+        if (state.health.degraded()) {
+          DbState next = state;
+          next.health.on_success();
+          if (!step(std::move(next), "read-ok")) return;
+        }
 
-    if (can_commit) {
-      {  // records logged, fsync durable, client acknowledged
+        // Crash (any time) or explicit recover() (the legitimate exit from
+        // degraded mode): replay from durable state, then check that every
+        // acknowledged commit survived.
+        const std::uint16_t survivors = state.recovered();
+        if ((state.acked & ~survivors) != 0) {
+          std::uint8_t lost = 0;
+          for (std::uint8_t t = 1; t <= options.commits; ++t)
+            if ((state.acked & bit(t)) && !(survivors & bit(t))) lost = t;
+          emit(state, "crash-recover",
+               "acknowledged commit t" + std::to_string(lost) +
+                   " lost at recovery");
+          return;
+        }
         DbState next = state;
-        next.wal.push_back(WalEntry{txn, next.torn});
-        next.durable_prefix = static_cast<std::uint8_t>(next.wal.size());
-        next.acked |= bit(txn);
-        next.next_txn += 1;
-        next.health.on_success();
-        if (!visit(state, std::move(next), "commit-ok(" + tname + ")", depth))
-          return result;
-      }
-      {  // append failed, rollback restored the log: clean failure
-        DbState next = state;
-        next.next_txn += 1;
-        next.health.on_failure(db::FailureSite::AppendRollbackOk, tname);
-        if (!visit(state, std::move(next),
-                   "append-fail-rollback-ok(" + tname + ")", depth))
-          return result;
-      }
-      {  // append failed AND rollback failed: torn frame in the log
-        DbState next = state;
-        next.torn = true;
-        next.next_txn += 1;
-        next.health.on_failure(db::FailureSite::AppendRollbackFailed, tname);
-        if (!visit(state, std::move(next),
-                   "append-fail-rollback-fail(" + tname + ")", depth))
-          return result;
-      }
-      {  // commit fsync failed; the scrub removed the records
-        DbState next = state;
-        next.next_txn += 1;
-        next.health.on_failure(db::FailureSite::CommitFsyncFailed, tname);
-        if (!visit(state, std::move(next),
-                   "fsync-fail-scrub-ok(" + tname + ")", depth))
-          return result;
-      }
-      {  // commit fsync failed and the scrub failed too: undurable
-         // records of a failed commit sit in the file (fsync-gate hazard)
-        DbState next = state;
-        next.wal.push_back(WalEntry{txn, true});
-        next.torn = true;
-        next.next_txn += 1;
-        next.health.on_failure(db::FailureSite::CommitFsyncFailed, tname);
-        if (!visit(state, std::move(next),
-                   "fsync-fail-scrub-fail(" + tname + ")", depth))
-          return result;
-      }
-    }
-
-    if (state.checkpoints < options.checkpoints &&
-        !state.health.degraded()) {
-      {  // snapshot published, log reset
-        DbState next = state;
-        next.snapshot |= next.acked;
+        next.snapshot = survivors;
         next.wal.clear();
         next.durable_prefix = 0;
-        next.torn = false;  // the untrusted log content is gone
-        next.checkpoints += 1;
-        next.health.on_success();
-        if (!visit(state, std::move(next), "checkpoint-ok", depth))
-          return result;
-      }
-      {  // snapshot write failed: nothing published, log intact
-        DbState next = state;
-        next.checkpoints += 1;
-        next.health.on_failure(db::FailureSite::CheckpointSnapshotWriteFailed,
-                               "checkpoint");
-        if (!visit(state, std::move(next), "checkpoint-snapshot-fail", depth))
-          return result;
-      }
-      {  // snapshot published but the log could not be truncated
-        DbState next = state;
-        next.snapshot |= next.acked;
-        next.torn = true;
-        next.checkpoints += 1;
-        next.health.on_failure(db::FailureSite::CheckpointLogResetFailed,
-                               "checkpoint");
-        if (!visit(state, std::move(next), "checkpoint-reset-fail", depth))
-          return result;
-      }
-    }
-
-    // The OS flushes the page cache behind the engine's back: everything
-    // in the file becomes durable whether or not fsync succeeded.
-    if (state.durable_prefix < state.wal.size()) {
-      DbState next = state;
-      next.durable_prefix = static_cast<std::uint8_t>(next.wal.size());
-      if (!visit(state, std::move(next), "os-flush", depth)) return result;
-    }
-
-    // A successful read while degraded: must not change health.  (The
-    // non-sticky defect clears degraded mode here; the stickiness check
-    // in visit() catches it with a minimal trace.)
-    if (state.health.degraded()) {
-      DbState next = state;
-      next.health.on_success();
-      if (!visit(state, std::move(next), "read-ok", depth)) return result;
-    }
-
-    // Crash (any time) or explicit recover() (the legitimate exit from
-    // degraded mode): replay from durable state, then check that every
-    // acknowledged commit survived.
-    {
-      DbState next = state;
-      const std::uint16_t survivors = next.recovered();
-      if ((state.acked & ~survivors) != 0) {
-        std::uint8_t lost = 0;
-        for (std::uint8_t t = 1; t <= options.commits; ++t)
-          if ((state.acked & bit(t)) && !(survivors & bit(t))) lost = t;
-        DbState bad = state;
-        violate(state, bad, "crash-recover",
-                "acknowledged commit t" + std::to_string(lost) +
-                    " lost at recovery");
-        return result;
-      }
-      next.snapshot = survivors;
-      next.wal.clear();
-      next.durable_prefix = 0;
-      next.torn = false;
-      next.health.on_recover();
-      if (!visit(state, std::move(next), "recover", depth)) return result;
-    }
-  }
-
-  result.ok = true;
-  return result;
+        next.torn = false;
+        next.health.on_recover();
+        step(std::move(next), "recover");
+      });
 }
 
 }  // namespace fem2::analyze

@@ -28,22 +28,6 @@ FailureResponse failure_response(FailureSite site) {
   return FailureResponse::Degrade;  // unreachable; fail safe
 }
 
-std::string_view failure_site_name(FailureSite site) {
-  switch (site) {
-    case FailureSite::AppendRollbackOk:
-      return "append-rollback-ok";
-    case FailureSite::AppendRollbackFailed:
-      return "append-rollback-failed";
-    case FailureSite::CommitFsyncFailed:
-      return "commit-fsync-failed";
-    case FailureSite::CheckpointSnapshotWriteFailed:
-      return "checkpoint-snapshot-write-failed";
-    case FailureSite::CheckpointLogResetFailed:
-      return "checkpoint-log-reset-failed";
-  }
-  return "unknown-failure-site";
-}
-
 HealthModel::Transition HealthModel::on_failure(FailureSite site,
                                                 std::string reason) {
   Transition t;

@@ -35,8 +35,6 @@ enum class FailureResponse {
 /// The fixed site -> response policy (see DESIGN.md on fail-safe storage).
 FailureResponse failure_response(FailureSite site);
 
-std::string_view failure_site_name(FailureSite site);
-
 class HealthModel {
  public:
   /// `sticky` is the model-checker defect knob: production engines are

@@ -167,15 +167,4 @@ Displacements AssembledSystem::expand(std::span<const double> reduced) const {
   return out;
 }
 
-std::uint64_t assembly_flops(const StructureModel& model) {
-  std::uint64_t flops = 0;
-  for (const auto& element : model.elements) {
-    const std::size_t n =
-        element.node_count() * element_dofs_per_node(element.type);
-    // Forming B'DB-style products plus the merge: ~3 n^3 + n^2.
-    flops += 3 * n * n * n + n * n;
-  }
-  return flops;
-}
-
 }  // namespace fem2::fem

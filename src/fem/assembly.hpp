@@ -31,9 +31,6 @@ struct DofMap {
   std::size_t full_index(std::size_t node, std::size_t dof) const {
     return node * dofs_per_node + dof;
   }
-  bool is_free(std::size_t full) const {
-    return full_to_reduced[full] >= 0;
-  }
 };
 
 /// Builds the full↔reduced dof mapping.  Duplicate constraints on the
@@ -94,9 +91,5 @@ AssembledSystem assemble_numeric(const StructureModel& model,
 
 /// One-shot assembly: symbolic plan + numeric fill.
 AssembledSystem assemble(const StructureModel& model);
-
-/// Assembly cost model used by the simulated parallel pipeline: floating
-/// point work to form and merge all element matrices.
-std::uint64_t assembly_flops(const StructureModel& model);
 
 }  // namespace fem2::fem

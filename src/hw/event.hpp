@@ -253,4 +253,20 @@ class Engine {
   EventKey phase_stop_;
 };
 
+/// Ids drawn without synchronization by whichever shard is running: of S
+/// shards, shard s hands out s+1, s+1+S, s+1+2S, ... from its own counter,
+/// so ids are unique and serial and parallel runs draw identical values.
+class StripedIds {
+ public:
+  explicit StripedIds(const Engine& engine) : next_(engine.shard_count(), 0) {}
+
+  std::uint64_t next(const Engine& engine) {
+    const std::uint32_t shard = engine.current_shard();
+    return next_[shard]++ * next_.size() + shard + 1;
+  }
+
+ private:
+  std::vector<std::uint64_t> next_;  ///< per shard: ids drawn so far
+};
+
 }  // namespace fem2::hw

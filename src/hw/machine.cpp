@@ -26,10 +26,6 @@ Machine::Machine(const MachineConfig& config)
   links_.resize(config_.clusters * config_.clusters);
   for (auto& l : links_) l.drop_probability = config_.network_drop_probability;
   channel_free_at_.assign(topology_->channel_count(), 0);
-  // Statically severed links (degraded topologies) take effect before the
-  // first event, exactly like a FaultPlan::fail_link at t=0.
-  for (const auto& [src, dst] : topology_->severed_links())
-    link(src, dst).severed = true;
   metrics_.pes.resize(config_.total_pes());
   metrics_.clusters.resize(config_.clusters);
   metrics_.network.clusters = config_.clusters;

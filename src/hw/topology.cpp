@@ -1,8 +1,8 @@
 #include "hw/topology.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "hw/fault.hpp"
 #include "support/check.hpp"
 
 namespace fem2::hw {
@@ -95,12 +95,9 @@ Cycles RotorTopology::max_launch_delay() const {
 
 // --- DegradedTopology ------------------------------------------------------
 
-DegradedTopology::DegradedTopology(
-    std::shared_ptr<const Topology> base, std::vector<Brownout> brownouts,
-    std::vector<std::pair<ClusterId, ClusterId>> severed)
-    : base_(std::move(base)),
-      brownouts_(std::move(brownouts)),
-      severed_(std::move(severed)) {
+DegradedTopology::DegradedTopology(std::shared_ptr<const Topology> base,
+                                   std::vector<Brownout> brownouts)
+    : base_(std::move(base)), brownouts_(std::move(brownouts)) {
   FEM2_CHECK_MSG(base_ != nullptr, "degraded topology needs a base");
   for (const Brownout& b : brownouts_) {
     FEM2_CHECK_MSG(b.latency_factor >= 1 && b.bandwidth_factor >= 1.0,
@@ -135,19 +132,6 @@ Cycles DegradedTopology::max_launch_delay() const {
   for (const Brownout& b : brownouts_)
     factor = std::max(factor, b.latency_factor);
   return base_->max_launch_delay() * factor;
-}
-
-std::vector<std::pair<ClusterId, ClusterId>> DegradedTopology::severed_links()
-    const {
-  auto out = base_->severed_links();
-  out.insert(out.end(), severed_.begin(), severed_.end());
-  return out;
-}
-
-FaultPlan DegradedTopology::equivalent_fault_plan() const {
-  FaultPlan plan;
-  for (const auto& [src, dst] : severed_) plan.fail_link(0, src, dst);
-  return plan;
 }
 
 // --- factory ---------------------------------------------------------------

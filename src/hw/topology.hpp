@@ -17,22 +17,18 @@
 // bit-identical at every host thread count — for every topology.
 // launch_delay must be a pure function of (src, dst, at).
 //
-// Degraded variants (brownouts, severed links) are expressed with
-// DegradedTopology; severed links use the same per-link severing the
-// FaultPlan machinery drives, so a statically severed topology behaves
-// exactly like the equivalent FaultPlan applied at t=0.
+// Degraded variants (browned-out links) are expressed with
+// DegradedTopology.  Severing a link is a fault, not a topology: it goes
+// through Machine::fail_link (driven by a FaultPlan).
 #pragma once
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hw/config.hpp"
 
 namespace fem2::hw {
-
-class FaultPlan;
 
 class Topology {
  public:
@@ -65,13 +61,6 @@ class Topology {
   virtual std::size_t channel(ClusterId src, ClusterId dst) const {
     (void)src;
     return dst.index;
-  }
-
-  /// Directed links down from construction time (degraded variants).  The
-  /// Machine severs these before the simulation starts, exactly as a
-  /// FaultPlan::fail_link at t=0 would.
-  virtual std::vector<std::pair<ClusterId, ClusterId>> severed_links() const {
-    return {};
   }
 };
 
@@ -172,9 +161,7 @@ class RotorTopology final : public Topology {
 };
 
 /// A wrapper degrading selected directed links of any base topology:
-/// browned-out links multiply latency and per-byte cost, severed links are
-/// down from t=0 (exactly the effect of FaultPlan::fail_link at time 0,
-/// and convertible to that plan via equivalent_fault_plan()).  The window
+/// browned-out links multiply latency and per-byte cost.  The window
 /// stays the base topology's min launch delay — degradation only ever
 /// increases latency, so the lookahead bound remains valid.
 class DegradedTopology final : public Topology {
@@ -187,8 +174,7 @@ class DegradedTopology final : public Topology {
   };
 
   DegradedTopology(std::shared_ptr<const Topology> base,
-                   std::vector<Brownout> brownouts,
-                   std::vector<std::pair<ClusterId, ClusterId>> severed = {});
+                   std::vector<Brownout> brownouts);
 
   std::string name() const override { return base_->name() + "-degraded"; }
   std::size_t clusters() const override { return base_->clusters(); }
@@ -202,18 +188,11 @@ class DegradedTopology final : public Topology {
   std::size_t channel(ClusterId src, ClusterId dst) const override {
     return base_->channel(src, dst);
   }
-  std::vector<std::pair<ClusterId, ClusterId>> severed_links() const override;
-
-  /// The FaultPlan whose t=0 application is equivalent to this topology's
-  /// severed set (parity is pinned by the topology test suite).
-  FaultPlan equivalent_fault_plan() const;
-
  private:
   const Brownout* brownout(ClusterId src, ClusterId dst) const;
 
   std::shared_ptr<const Topology> base_;
   std::vector<Brownout> brownouts_;
-  std::vector<std::pair<ClusterId, ClusterId>> severed_;
 };
 
 /// Sweep-facing factory: "flat", "fattree", "rotor", or "degraded" (flat

@@ -7,21 +7,6 @@
 
 namespace fem2::hw {
 
-std::string_view trace_kind_name(TraceKind k) {
-  switch (k) {
-    case TraceKind::MessageSent: return "message-sent";
-    case TraceKind::MessageDelivered: return "message-delivered";
-    case TraceKind::MessageDropped: return "message-dropped";
-    case TraceKind::WorkStarted: return "work-started";
-    case TraceKind::WorkFinished: return "work-finished";
-    case TraceKind::PeFailed: return "pe-failed";
-    case TraceKind::PeRestored: return "pe-restored";
-    case TraceKind::ClusterFailed: return "cluster-failed";
-    case TraceKind::LinkFailed: return "link-failed";
-  }
-  FEM2_UNREACHABLE("bad TraceKind");
-}
-
 void Tracer::record(TraceEvent event) {
   if (events_.size() >= capacity_) {
     // Drop the oldest half in one amortized move; timelines care about the

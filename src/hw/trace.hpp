@@ -28,8 +28,6 @@ enum class TraceKind : std::uint8_t {
   LinkFailed,
 };
 
-std::string_view trace_kind_name(TraceKind k);
-
 struct TraceEvent {
   Cycles time = 0;
   TraceKind kind = TraceKind::MessageSent;

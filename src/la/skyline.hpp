@@ -33,7 +33,6 @@ class SkylineMatrix {
 
   /// In-place L Lᵀ factorization.  Throws support::Error if not SPD.
   void factorize();
-  bool factorized() const { return factorized_; }
 
   /// Solve A x = b using the factorization (factorize() must have run).
   Vector solve(std::span<const double> b) const;

@@ -114,9 +114,6 @@ class CsrMatrix {
   DenseMatrix to_dense() const;
 
   const SparsityPattern& pattern() const { return *pattern_; }
-  std::shared_ptr<const SparsityPattern> pattern_ptr() const {
-    return pattern_;
-  }
 
   std::span<const std::size_t> row_ptr() const { return pattern_->row_ptr(); }
   std::span<const std::size_t> col_idx() const { return pattern_->col_idx(); }

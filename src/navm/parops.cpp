@@ -344,16 +344,31 @@ Coro cg_driver_body(TaskContext& ctx) {
       kCgWorkerTask, k, [&](std::uint32_t i) {
         const std::size_t r0 = block_begin(n, k, i);
         const std::size_t r1 = block_begin(n, k, i + 1);
-        la::TripletBuilder builder(r1 - r0, n);
+        // Rows [r0, r1) of a CSR matrix are sorted and unique, so the shard
+        // is a straight copy.  Exact zeros are skipped: a shard stores only
+        // nonzeros, and its storage_bytes() sizes the shipped payload.
+        const auto a_rows = problem.a.row_ptr();
+        const std::size_t stored = a_rows[r1] - a_rows[r0];
+        std::vector<std::size_t> row_ptr{0};
+        std::vector<std::size_t> col_idx;
+        std::vector<double> values;
+        row_ptr.reserve(r1 - r0 + 1);
+        col_idx.reserve(stored);
+        values.reserve(stored);
         for (std::size_t r = r0; r < r1; ++r) {
           std::span<const std::size_t> cols;
           std::span<const double> vals;
           problem.a.row(r, cols, vals);
-          for (std::size_t idx = 0; idx < cols.size(); ++idx)
-            builder.add(r - r0, cols[idx], vals[idx]);
+          for (std::size_t idx = 0; idx < cols.size(); ++idx) {
+            if (vals[idx] == 0.0) continue;
+            col_idx.push_back(cols[idx]);
+            values.push_back(vals[idx]);
+          }
+          row_ptr.push_back(values.size());
         }
         CgWorkerParams wp;
-        wp.shard = builder.build();
+        wp.shard = la::CsrMatrix(r1 - r0, n, std::move(row_ptr),
+                                 std::move(col_idx), std::move(values));
         wp.b_local.assign(problem.b.begin() + static_cast<std::ptrdiff_t>(r0),
                           problem.b.begin() + static_cast<std::ptrdiff_t>(r1));
         wp.row0 = r0;

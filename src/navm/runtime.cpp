@@ -1,33 +1,46 @@
 #include "navm/runtime.hpp"
 
+#include <utility>
+
 namespace fem2::navm {
 
-using sysvm::OptSharedLock;
-using sysvm::OptUniqueLock;
-
-Runtime::Runtime(sysvm::Os& os) : os_(os) {
+Runtime::Runtime(sysvm::Os& os)
+    : os_(os),
+      array_ids_(os.machine().engine()),
+      collector_ids_(os.machine().engine()) {
   register_builtin_procedures();
-  next_array_.assign(os_.machine().engine().shard_count(), 0);
-  next_collector_.assign(os_.machine().engine().shard_count(), 0);
   // Cluster-loss recovery reaps tasks before re-initiating them; their
   // arrays and collectors die with them ("data lifetime - lifetime of owner
   // task").  The re-initiated incarnation recreates what it needs.
   os_.set_task_reaper([this](sysvm::TaskId task) { purge_owned_by(task); });
 }
 
-ArrayId Runtime::make_array_id() {
-  const std::size_t shard = os_.machine().engine().current_shard();
-  return next_array_[shard]++ * next_array_.size() + shard + 1;
+sysvm::OptSharedLock Runtime::read_lock() const {
+  return {registry_mutex_, os_.machine().engine().in_worker_phase()};
 }
 
-std::uint64_t Runtime::make_collector_id() {
-  const std::size_t shard = os_.machine().engine().current_shard();
-  return next_collector_[shard]++ * next_collector_.size() + shard + 1;
+sysvm::OptUniqueLock Runtime::write_lock() {
+  return {registry_mutex_, os_.machine().engine().in_worker_phase()};
+}
+
+const Runtime::ArrayInfo* Runtime::find_array(ArrayId id) const {
+  const auto lock = read_lock();
+  const auto it = arrays_.find(id);
+  return it == arrays_.end() ? nullptr : &it->second;
+}
+
+const Runtime::Collector* Runtime::find_collector(std::uint64_t id) const {
+  const auto lock = read_lock();
+  const auto it = collectors_.find(id);
+  return it == collectors_.end() ? nullptr : &it->second;
+}
+
+Runtime::Collector* Runtime::find_collector(std::uint64_t id) {
+  return const_cast<Collector*>(std::as_const(*this).find_collector(id));
 }
 
 void Runtime::purge_owned_by(sysvm::TaskId task) {
-  OptUniqueLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
+  const auto lock = write_lock();
   std::erase_if(arrays_,
                 [task](const auto& kv) { return kv.second.owner == task; });
   std::erase_if(collectors_,
@@ -70,7 +83,7 @@ Window Runtime::create_array(TaskContext& ctx, std::size_t rows,
   ctx.api().mark_side_effect();
 
   ArrayInfo info;
-  info.id = make_array_id();
+  info.id = array_ids_.next(os_.machine().engine());
   info.owner = ctx.self();
   info.cluster = ctx.cluster();
   info.rows = rows;
@@ -78,8 +91,7 @@ Window Runtime::create_array(TaskContext& ctx, std::size_t rows,
   info.data = std::move(init);
   const ArrayId id = info.id;
   {
-    OptUniqueLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
+    const auto lock = write_lock();
     arrays_.emplace(id, std::move(info));
   }
   const Window full{id, 0, 0, rows, cols};
@@ -93,23 +105,14 @@ Window Runtime::create_array(TaskContext& ctx, std::size_t rows,
   return full;
 }
 
-const Runtime::ArrayInfo& Runtime::array_info(ArrayId id) const {
-  const ArrayInfo* info = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = arrays_.find(id);
-    if (it != arrays_.end()) info = &it->second;
-  }
+const Runtime::ArrayInfo& Runtime::routable_array(ArrayId id) const {
+  const ArrayInfo* info = find_array(id);
   if (info == nullptr) {
     throw support::Error(
         "window refers to array " + std::to_string(id) +
         " which no longer exists (its owner task was lost with its cluster "
         "and reaped during recovery)");
   }
-  FEM2_CHECK_MSG(!os_.task_finished(info->owner),
-                 "window refers to an array whose owner task terminated "
-                 "(data lifetime is the owner's lifetime)");
   if (!os_.machine().cluster_alive(info->cluster)) {
     throw support::Error(
         "window refers to array " + std::to_string(id) + " on cluster " +
@@ -119,9 +122,16 @@ const Runtime::ArrayInfo& Runtime::array_info(ArrayId id) const {
   return *info;
 }
 
+const Runtime::ArrayInfo& Runtime::array_info(ArrayId id) const {
+  const ArrayInfo& info = routable_array(id);
+  FEM2_CHECK_MSG(!os_.task_finished(info.owner),
+                 "window refers to an array whose owner task terminated "
+                 "(data lifetime is the owner's lifetime)");
+  return info;
+}
+
 std::vector<ArrayId> Runtime::array_ids() const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
+  const auto lock = read_lock();
   std::vector<ArrayId> out;
   out.reserve(arrays_.size());
   for (const auto& [id, info] : arrays_) out.push_back(id);
@@ -129,15 +139,16 @@ std::vector<ArrayId> Runtime::array_ids() const {
 }
 
 const Runtime::ArrayInfo& Runtime::array_info_unchecked(ArrayId id) const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
-  const auto it = arrays_.find(id);
-  FEM2_CHECK_MSG(it != arrays_.end(), "unknown array id");
-  return it->second;
+  const ArrayInfo* info = find_array(id);
+  FEM2_CHECK_MSG(info != nullptr, "unknown array id");
+  return *info;
 }
 
 hw::ClusterId Runtime::window_cluster(const Window& window) const {
-  return array_info(window.array).cluster;
+  // Routing runs on the requesting task's shard, so it must not read the
+  // owner's task state; array_info() checks the owner's lifetime when
+  // gather/scatter run on the array's cluster.
+  return routable_array(window.array).cluster;
 }
 
 std::vector<double> Runtime::gather(const Window& window) const {
@@ -188,31 +199,22 @@ std::uint64_t Runtime::make_collector(TaskContext& ctx, std::size_t expected) {
   c.expected = expected;
   c.owner = ctx.self();
   c.cluster = ctx.cluster();
-  const std::uint64_t id = make_collector_id();
+  const std::uint64_t id = collector_ids_.next(os_.machine().engine());
   {
-    OptUniqueLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
+    const auto lock = write_lock();
     collectors_.emplace(id, std::move(c));
   }
   return id;
 }
 
 bool Runtime::collector_full(std::uint64_t id) const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
-  const auto it = collectors_.find(id);
-  FEM2_CHECK_MSG(it != collectors_.end(), "unknown collector");
-  return it->second.items.size() >= it->second.expected;
+  const Collector* c = find_collector(id);
+  FEM2_CHECK_MSG(c != nullptr, "unknown collector");
+  return c->items.size() >= c->expected;
 }
 
 std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(id);
-    if (it != collectors_.end()) cp = &it->second;
-  }
+  Collector* cp = find_collector(id);
   FEM2_CHECK_MSG(cp != nullptr, "unknown collector");
   auto& c = *cp;
   FEM2_CHECK_MSG(c.items.size() >= c.expected, "collector not full");
@@ -229,21 +231,14 @@ std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
 }
 
 void Runtime::collector_arm(std::uint64_t id, sysvm::CallToken token) {
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(id);
-    if (it != collectors_.end()) cp = &it->second;
-  }
+  Collector* cp = find_collector(id);
   FEM2_CHECK_MSG(cp != nullptr, "unknown collector");
   FEM2_CHECK_MSG(cp->waiting_token == 0, "collector already armed");
   cp->waiting_token = token;
 }
 
 std::vector<Runtime::CollectorInfo> Runtime::collector_infos() const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
+  const auto lock = read_lock();
   std::vector<CollectorInfo> out;
   out.reserve(collectors_.size());
   for (const auto& [id, c] : collectors_) {
@@ -294,13 +289,7 @@ sysvm::Payload Runtime::procedure_window_write(sysvm::ProcedureContext& ctx,
 sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
                                           const sysvm::Payload& args) {
   const auto& da = args.as<DepositArgs>();
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(da.collector);
-    if (it != collectors_.end()) cp = &it->second;
-  }
+  Collector* cp = find_collector(da.collector);
   if (cp == nullptr) {
     // A deposit can outlive its collector when the collector's owner was
     // reaped and restarted by cluster-loss recovery.  Dropping it (while

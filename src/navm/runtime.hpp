@@ -120,12 +120,16 @@ class Runtime {
                       std::vector<double> init = {});
 
   /// Owner-alive-checked lookup ("data lifetime - lifetime of owner task").
+  /// Reads the owner's task state, so call it only on the array's cluster
+  /// (the owner's home shard) or from the host.
   const ArrayInfo& array_info(ArrayId id) const;
 
   /// All array ids ever created (for inspection; includes dead owners).
   std::vector<ArrayId> array_ids() const;
   /// Unchecked lookup for inspection of arrays with terminated owners.
   const ArrayInfo& array_info_unchecked(ArrayId id) const;
+  /// Where a window's array lives; safe from any shard, as it reads only
+  /// the array's fixed cluster and that cluster's liveness.
   hw::ClusterId window_cluster(const Window& window) const;
 
   std::vector<double> gather(const Window& window) const;
@@ -173,13 +177,25 @@ class Runtime {
     std::set<std::pair<sysvm::TaskId, std::uint64_t>> seen;
   };
 
+  // --- registries -------------------------------------------------------
+  // The locking rule for arrays_ / collectors_ lives here and nowhere else:
+  // their structure (insert, erase, find) is locked only while
+  // Engine::in_worker_phase(); entry contents are touched only by the
+  // entry's cluster shard (window procedures are routed to the array's
+  // cluster) or by stop-world recovery, without a lock.
+  sysvm::OptSharedLock read_lock() const;
+  sysvm::OptUniqueLock write_lock();
+  /// nullptr when unknown (never created, or purged with a reaped owner).
+  const ArrayInfo* find_array(ArrayId id) const;
+  const Collector* find_collector(std::uint64_t id) const;
+  Collector* find_collector(std::uint64_t id);
+  /// The array a window names, checked only for what routing may read:
+  /// it exists and its cluster is alive.
+  const ArrayInfo& routable_array(ArrayId id) const;
+
   void register_builtin_procedures();
   /// Task-reaper hook: drop arrays and collectors owned by a reaped task.
   void purge_owned_by(sysvm::TaskId task);
-  /// Ids are striped per engine shard (id = n * shards + shard + 1) so
-  /// serial and parallel runs allocate identical values.
-  ArrayId make_array_id();
-  std::uint64_t make_collector_id();
   sysvm::Payload procedure_window_read(sysvm::ProcedureContext& ctx,
                                        const sysvm::Payload& args);
   sysvm::Payload procedure_window_write(sysvm::ProcedureContext& ctx,
@@ -188,15 +204,12 @@ class Runtime {
                                    const sysvm::Payload& args);
 
   sysvm::Os& os_;
-  /// Guards the *structure* of arrays_ / collectors_ (insert, erase, find)
-  /// during parallel phases.  Entry contents are touched only by the
-  /// owning cluster's shard (window procedures are routed to the array's
-  /// cluster) or stop-world recovery, so no lock is held around them.
+  /// Taken only through read_lock() / write_lock().
   mutable std::shared_mutex registry_mutex_;
   std::map<ArrayId, ArrayInfo> arrays_;
   std::map<std::uint64_t, Collector> collectors_;
-  std::vector<std::uint64_t> next_array_;      ///< one counter per shard
-  std::vector<std::uint64_t> next_collector_;  ///< one counter per shard
+  hw::StripedIds array_ids_;
+  hw::StripedIds collector_ids_;
   RuntimeObserver* observer_ = nullptr;
 };
 

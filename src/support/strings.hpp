@@ -16,8 +16,6 @@ std::vector<std::string> split_ws(std::string_view s);
 
 std::string_view trim(std::string_view s);
 
-std::string to_lower(std::string_view s);
-
 bool iequals(std::string_view a, std::string_view b);
 
 /// Human-readable byte count: "1.5 KiB", "3.2 MiB", ...

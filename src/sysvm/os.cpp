@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "hw/topology.hpp"
 
@@ -49,18 +50,14 @@ std::vector<TaskId> TaskApi::initiate(
   for (std::uint32_t i = 0; i < k; ++i) {
     MsgInitiate m;
     m.task_type = task_type;
-    m.task = os_.make_task_id();
+    m.task = os_.task_ids_.next(os_.machine().engine());
     m.parent = self_;
     m.replication_index = i;
     m.replication_count = k;
     m.params = params_for ? params_for(i) : Payload{};
     ids.push_back(m.task);
     const hw::ClusterId target = os_.choose_cluster(source);
-    {
-      OptUniqueLock lock(os_.registry_mutex_,
-                         os_.machine().engine().in_worker_phase());
-      os_.task_homes_.emplace(m.task, target);
-    }
+    os_.set_home(m.task, target);
     outgoing_.emplace_back(target, Message{std::move(m)});
   }
   return ids;
@@ -216,7 +213,11 @@ std::string OsStats::dump() const {
 }
 
 Os::Os(hw::Machine& machine, OsOptions options)
-    : machine_(machine), options_(options) {
+    : machine_(machine),
+      options_(options),
+      task_ids_(machine.engine()),
+      incarnations_(machine.engine()),
+      call_tokens_(machine.engine()) {
   if (options_.retransmit_timeout == 0) {
     // Auto-derive the base RTO from the topology's worst-case one-way
     // path so slow topologies do not retransmit spuriously.
@@ -260,22 +261,8 @@ const Os::ShardLane& Os::lane() const {
   return lanes_[machine_.engine().current_shard()];
 }
 
-TaskId Os::make_task_id() {
-  const std::size_t idx = machine_.engine().current_shard();
-  ShardLane& lane = lanes_[idx];
-  return lane.next_task_id++ * lanes_.size() + idx + 1;
-}
-
-std::uint64_t Os::make_incarnation() {
-  const std::size_t idx = machine_.engine().current_shard();
-  ShardLane& lane = lanes_[idx];
-  return lane.next_incarnation++ * lanes_.size() + idx + 1;
-}
-
 CallToken Os::allocate_call_token() {
-  const std::size_t idx = machine_.engine().current_shard();
-  ShardLane& lane = lanes_[idx];
-  return lane.next_call_token++ * lanes_.size() + idx + 1;
+  return call_tokens_.next(machine_.engine());
 }
 
 void Os::notify_observer(std::function<void(OsObserver&)> fill) {
@@ -318,15 +305,12 @@ TaskId Os::launch(const std::string& task_type, Payload params,
                  "launch of unregistered task type: " + task_type);
   MsgInitiate m;
   m.task_type = task_type;
-  m.task = make_task_id();
+  m.task = task_ids_.next(machine_.engine());
   m.parent = kNoTask;
   m.params = std::move(params);
   const TaskId id = m.task;
   const hw::ClusterId target = choose_cluster(from);
-  {
-    OptUniqueLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    task_homes_.emplace(id, target);
-  }
+  set_home(id, target);
   send(from, target, Message{std::move(m)});
   return id;
 }
@@ -336,15 +320,13 @@ void Os::run() { machine_.engine().run(); }
 TaskState Os::task_state(TaskId task) const { return record(task).state; }
 
 bool Os::task_finished(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-  const auto it = tasks_.find(task);
-  return it != tasks_.end() && it->second.state == TaskState::Finished;
+  const TaskRecord* rec = find(task);
+  return rec != nullptr && rec->state == TaskState::Finished;
 }
 
 bool Os::task_known(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-  const auto it = tasks_.find(task);
-  return it != tasks_.end() && it->second.state != TaskState::Finished;
+  const TaskRecord* rec = find(task);
+  return rec != nullptr && rec->state != TaskState::Finished;
 }
 
 const Payload& Os::task_result(TaskId task) const {
@@ -355,15 +337,13 @@ const Payload& Os::task_result(TaskId task) const {
 }
 
 hw::ClusterId Os::task_cluster(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-  const auto it = task_homes_.find(task);
-  FEM2_CHECK_MSG(it != task_homes_.end(),
-                 "unknown task id " + std::to_string(task));
-  return it->second;
+  const auto home = find_home(task);
+  FEM2_CHECK_MSG(home.has_value(), "unknown task id " + std::to_string(task));
+  return *home;
 }
 
 std::size_t Os::live_tasks() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
+  const auto lock = read_lock();
   std::size_t n = 0;
   for (const auto& [id, rec] : tasks_)
     if (rec.state != TaskState::Finished) ++n;
@@ -371,7 +351,7 @@ std::size_t Os::live_tasks() const {
 }
 
 std::vector<TaskId> Os::task_ids() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
+  const auto lock = read_lock();
   std::vector<TaskId> out;
   out.reserve(tasks_.size());
   for (const auto& [id, rec] : tasks_) out.push_back(id);
@@ -417,7 +397,7 @@ Os::WaitInfo Os::wait_info(TaskId task) const {
 }
 
 std::vector<Os::PendingCallInfo> Os::pending_call_infos() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
+  const auto lock = read_lock();
   std::vector<PendingCallInfo> out;
   out.reserve(pending_calls_.size());
   for (const auto& [token, call] : pending_calls_)
@@ -473,20 +453,57 @@ const OsStats& Os::metrics() const {
   return metrics_;
 }
 
-Os::TaskRecord& Os::record(TaskId task) {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
+OptSharedLock Os::read_lock() const {
+  return {registry_mutex_, machine_.engine().in_worker_phase()};
+}
+
+OptUniqueLock Os::write_lock() {
+  return {registry_mutex_, machine_.engine().in_worker_phase()};
+}
+
+const Os::TaskRecord* Os::find(TaskId task) const {
+  const auto lock = read_lock();
   const auto it = tasks_.find(task);
-  FEM2_CHECK_MSG(it != tasks_.end(),
-                 "unknown task id " + std::to_string(task));
-  return it->second;
+  return it == tasks_.end() ? nullptr : &it->second;
+}
+
+Os::TaskRecord* Os::find(TaskId task) {
+  return const_cast<TaskRecord*>(std::as_const(*this).find(task));
 }
 
 const Os::TaskRecord& Os::record(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-  const auto it = tasks_.find(task);
-  FEM2_CHECK_MSG(it != tasks_.end(),
-                 "unknown task id " + std::to_string(task));
+  const TaskRecord* rec = find(task);
+  FEM2_CHECK_MSG(rec != nullptr, "unknown task id " + std::to_string(task));
+  return *rec;
+}
+
+Os::TaskRecord& Os::record(TaskId task) {
+  return const_cast<TaskRecord&>(std::as_const(*this).record(task));
+}
+
+std::optional<hw::ClusterId> Os::find_home(TaskId task) const {
+  const auto lock = read_lock();
+  const auto it = task_homes_.find(task);
+  if (it == task_homes_.end()) return std::nullopt;
   return it->second;
+}
+
+void Os::set_home(TaskId task, std::optional<hw::ClusterId> home) {
+  const auto lock = write_lock();
+  if (home) {
+    task_homes_[task] = *home;
+  } else {
+    task_homes_.erase(task);
+  }
+}
+
+void Os::set_pending_call(CallToken token, std::optional<PendingCall> call) {
+  const auto lock = write_lock();
+  if (call) {
+    pending_calls_[token] = *call;
+  } else {
+    pending_calls_.erase(token);
+  }
 }
 
 Os::ClusterState& Os::cluster_state(hw::ClusterId cluster) {
@@ -572,14 +589,10 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
   // receiver can reject calls from reaped incarnations.
   if (auto* call = std::get_if<MsgRemoteCall>(&message)) {
     if (call->caller != kNoTask) {
-      const bool phase = machine_.engine().in_worker_phase();
-      {
-        OptSharedLock lock(registry_mutex_, phase);
-        const auto it = tasks_.find(call->caller);
-        if (it != tasks_.end()) call->caller_epoch = it->second.incarnation;
-      }
-      OptUniqueLock lock(registry_mutex_, phase);
-      pending_calls_[call->token] = {call->caller, to, call->caller_epoch};
+      if (const TaskRecord* caller = find(call->caller))
+        call->caller_epoch = caller->incarnation;
+      set_pending_call(call->token,
+                       PendingCall{call->caller, to, call->caller_epoch});
     }
   }
 
@@ -759,16 +772,10 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
     // under the same id) is stale: executing it would act on behalf of a
     // task incarnation that no longer exists.
     if (proc_work->call.caller != kNoTask) {
-      bool stale = false;
-      {
-        OptSharedLock lock(registry_mutex_,
-                           machine_.engine().in_worker_phase());
-        const auto cit = tasks_.find(proc_work->call.caller);
-        stale = cit == tasks_.end() ||
-                (proc_work->call.caller_epoch != 0 &&
-                 cit->second.incarnation != proc_work->call.caller_epoch);
-      }
-      if (stale) {
+      const TaskRecord* caller = find(proc_work->call.caller);
+      if (caller == nullptr || (proc_work->call.caller_epoch != 0 &&
+                                caller->incarnation !=
+                                    proc_work->call.caller_epoch)) {
         lane().stats.stale_messages_dropped += 1;
         machine_.release_worker(pe);
         return;
@@ -815,12 +822,7 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
   }
 
   const TaskId task = std::get<TaskId>(item);
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto tit = tasks_.find(task);
-    if (tit != tasks_.end()) recp = &tit->second;
-  }
+  TaskRecord* recp = find(task);
   if (recp == nullptr) {
     // Reaped by cluster-loss recovery while queued.
     lane().stats.stale_messages_dropped += 1;
@@ -865,14 +867,8 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
 
 void Os::complete_task_step(hw::PeId pe, TaskId task,
                             std::uint64_t incarnation) {
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(task);
-    if (it != tasks_.end() && it->second.incarnation == incarnation)
-      recp = &it->second;
-  }
-  if (recp == nullptr) {
+  TaskRecord* recp = find(task);
+  if (recp == nullptr || recp->incarnation != incarnation) {
     // The task was reaped (and possibly re-initiated elsewhere) while this
     // step was charging cycles; its buffered effects die unapplied.
     return;
@@ -1036,15 +1032,9 @@ void Os::on_work_lost(hw::ClusterId cluster) {
     ReadyItem item = std::move(*slot);
     slot.reset();
     if (const auto* task = std::get_if<TaskId>(&item)) {
-      TaskRecord* recp = nullptr;
-      {
-        OptSharedLock lock(registry_mutex_,
-                           machine_.engine().in_worker_phase());
-        const auto it = tasks_.find(*task);
-        if (it != tasks_.end()) recp = &it->second;
-      }
-      if (recp == nullptr) continue;  // reaped mid-step: drop the redo
-      recp->state = TaskState::Ready;
+      TaskRecord* rec = find(*task);
+      if (rec == nullptr) continue;  // reaped mid-step: drop the redo
+      rec->state = TaskState::Ready;
     }
     push_ready(cluster, std::move(item), /*front=*/true);
   }
@@ -1055,7 +1045,7 @@ void Os::on_work_lost(hw::ClusterId cluster) {
 //
 // Cluster loss always runs stop-world (fault events live on the global
 // shard), so these functions never race a parallel phase; the registry
-// locks they take through the shared helpers are disengaged no-ops.
+// accessors' locks are disengaged no-ops here.
 
 std::optional<TaskId> Os::message_addressee(const Message& m) {
   return std::visit(
@@ -1087,24 +1077,17 @@ TaskId Os::restart_root(TaskId task) const {
   // protocol interaction the victim's loss invalidated.
   TaskId current = task;
   while (true) {
-    const auto it = tasks_.find(current);
-    if (it == tasks_.end()) return current;
-    const TaskId parent = it->second.parent;
-    if (parent == kNoTask) return current;
-    const auto pit = tasks_.find(parent);
-    if (pit == tasks_.end() || pit->second.state == TaskState::Finished)
+    const TaskRecord* rec = find(current);
+    if (rec == nullptr || rec->parent == kNoTask) return current;
+    const TaskRecord* parent = find(rec->parent);
+    if (parent == nullptr || parent->state == TaskState::Finished)
       return current;
-    current = parent;
+    current = rec->parent;
   }
 }
 
 void Os::reap_task(TaskId task) {
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(task);
-    if (it != tasks_.end()) recp = &it->second;
-  }
+  TaskRecord* recp = find(task);
   if (recp == nullptr) return;
   TaskRecord& rec = *recp;
   if (task_reaper_) task_reaper_(task);
@@ -1127,8 +1110,8 @@ void Os::reap_task(TaskId task) {
       return queued != nullptr && *queued == task;
     });
   }
-  OptUniqueLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-  task_homes_.erase(task);
+  set_home(task, std::nullopt);
+  const auto lock = write_lock();
   tasks_.erase(task);
 }
 
@@ -1137,9 +1120,7 @@ void Os::reinitiate_task(TaskId task) {
   MsgInitiate m;
   TaskId parent = kNoTask;
   {
-    const auto it = tasks_.find(task);
-    FEM2_CHECK_MSG(it != tasks_.end(), "re-initiating an unknown task");
-    const TaskRecord& rec = it->second;
+    const TaskRecord& rec = record(task);
     m.task_type = rec.type;
     m.task = rec.id;
     m.parent = rec.parent;
@@ -1155,14 +1136,14 @@ void Os::reinitiate_task(TaskId task) {
   // the parent's home when it is alive, otherwise any survivor.
   hw::ClusterId source = hw::ClusterId{};
   if (parent != kNoTask) {
-    const auto pit = tasks_.find(parent);
-    if (pit != tasks_.end() && machine_.cluster_alive(pit->second.cluster))
-      source = pit->second.cluster;
+    const TaskRecord* rec = find(parent);
+    if (rec != nullptr && machine_.cluster_alive(rec->cluster))
+      source = rec->cluster;
   }
   if (!source.valid()) source = first_alive_cluster();
 
   const hw::ClusterId target = choose_cluster(source);
-  task_homes_.emplace(m.task, target);
+  set_home(m.task, target);
   send(source, target, Message{std::move(m)});
 }
 
@@ -1176,28 +1157,26 @@ void Os::flush_transport_to(hw::ClusterId cluster) {
       if (auto* init = std::get_if<MsgInitiate>(&frame.message)) {
         // The task never came to exist; re-route its initiate to a live
         // cluster (unless its parent was reaped meanwhile).
-        if (init->parent != kNoTask && !tasks_.contains(init->parent)) {
+        if (init->parent != kNoTask && find(init->parent) == nullptr) {
           lane().stats.stale_messages_dropped += 1;
-          task_homes_.erase(init->task);
+          set_home(init->task, std::nullopt);
           continue;
         }
         const hw::ClusterId target = choose_cluster(source);
-        task_homes_[init->task] = target;
+        set_home(init->task, target);
         lane().stats.tasks_relocated += 1;
         send(source, target, std::move(frame.message));
         continue;
       }
       const auto addressee = message_addressee(frame.message);
-      const auto home =
-          addressee ? task_homes_.find(*addressee) : task_homes_.end();
-      if (!addressee || home == task_homes_.end() ||
-          !tasks_.contains(*addressee) ||
-          !machine_.cluster_alive(home->second)) {
+      const auto home = addressee ? find_home(*addressee) : std::nullopt;
+      if (!home || find(*addressee) == nullptr ||
+          !machine_.cluster_alive(*home)) {
         lane().stats.stale_messages_dropped += 1;
         continue;
       }
       // Follow the addressee to its new home on a fresh channel sequence.
-      send(source, home->second, std::move(frame.message));
+      send(source, *home, std::move(frame.message));
     }
   }
 }
@@ -1212,17 +1191,17 @@ void Os::flush_transport_from(hw::ClusterId cluster) {
     channel.unacked.clear();
     for (auto& [seq, frame] : unacked) {
       if (auto* init = std::get_if<MsgInitiate>(&frame.message)) {
-        if (tasks_.contains(init->task)) continue;  // delivered; ack was lost
-        if (init->parent != kNoTask && !tasks_.contains(init->parent)) {
+        if (find(init->task) != nullptr) continue;  // delivered; ack lost
+        if (init->parent != kNoTask && find(init->parent) == nullptr) {
           // Parent reaped (or itself mid-reinitiate): the restarted tree
           // re-creates its own children.
           lane().stats.stale_messages_dropped += 1;
-          task_homes_.erase(init->task);
+          set_home(init->task, std::nullopt);
           continue;
         }
         const hw::ClusterId source = first_alive_cluster();
         const hw::ClusterId target = choose_cluster(source);
-        task_homes_[init->task] = target;
+        set_home(init->task, target);
         lane().stats.tasks_relocated += 1;
         send(source, target, std::move(frame.message));
         continue;
@@ -1232,12 +1211,12 @@ void Os::flush_transport_from(hw::ClusterId cluster) {
         // result survives in the task table, so the notification can be
         // re-sent from a live source — but only if it was never delivered
         // and the parent is still around to consume it.
-        const auto child = tasks_.find(term->child);
-        const auto home = task_homes_.find(term->parent);
-        if (child != tasks_.end() && !child->second.terminate_delivered &&
-            tasks_.contains(term->parent) && home != task_homes_.end() &&
-            machine_.cluster_alive(home->second)) {
-          send(first_alive_cluster(), home->second, std::move(frame.message));
+        const TaskRecord* child = find(term->child);
+        const auto home = find_home(term->parent);
+        if (child != nullptr && !child->terminate_delivered &&
+            find(term->parent) != nullptr && home &&
+            machine_.cluster_alive(*home)) {
+          send(first_alive_cluster(), *home, std::move(frame.message));
           continue;
         }
       }
@@ -1301,9 +1280,9 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
       victims.insert(id);
   for (const auto& [token, call] : pending_calls_) {
     if (call.destination != cluster) continue;
-    const auto it = tasks_.find(call.caller);
-    if (it != tasks_.end() && it->second.state != TaskState::Finished &&
-        it->second.incarnation == call.caller_epoch)
+    const TaskRecord* caller = find(call.caller);
+    if (caller != nullptr && caller->state != TaskState::Finished &&
+        caller->incarnation == call.caller_epoch)
       victims.insert(call.caller);
   }
 
@@ -1315,7 +1294,7 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
     // not), and unacknowledged frames cover everything else.
     std::size_t in_flight = 0;
     for (const auto& [id, home] : task_homes_)
-      if (!tasks_.contains(id)) in_flight += 1;
+      if (find(id) == nullptr) in_flight += 1;
     for (const auto& [key, channel] : send_channels_)
       in_flight += channel.unacked.size();
     if (live_tasks() > 0 || in_flight > 0) {
@@ -1333,10 +1312,9 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
   std::set<TaskId> roots;
   std::vector<TaskId> leaves;
   for (const TaskId id : victims) {
-    const auto it = tasks_.find(id);
-    if (it == tasks_.end()) continue;
-    const auto& rec = it->second;
-    if (rec.cluster == cluster && is_restartable(rec)) {
+    const TaskRecord* rec = find(id);
+    if (rec == nullptr) continue;
+    if (rec->cluster == cluster && is_restartable(*rec)) {
       leaves.push_back(id);
     } else {
       roots.insert(restart_root(id));
@@ -1347,7 +1325,7 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
   // its original id, so an external waiter on task_result(root) never
   // notices beyond the elapsed time.
   for (const TaskId root : roots) {
-    if (!tasks_.contains(root)) continue;
+    if (find(root) == nullptr) continue;
     std::vector<TaskId> subtree{root};
     for (std::size_t i = 0; i < subtree.size(); ++i) {
       for (const auto& [id, rec] : tasks_)
@@ -1361,17 +1339,16 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
 
   // Restartable leaves untouched by a tree restart relocate individually.
   for (const TaskId id : leaves) {
-    if (!tasks_.contains(id)) continue;
-    reinitiate_task(id);
+    if (find(id) != nullptr) reinitiate_task(id);
   }
 
   // Retire stranded call bookkeeping: calls into the dead cluster, and
   // calls whose caller incarnation no longer exists.
   std::erase_if(pending_calls_, [&](const auto& entry) {
     if (entry.second.destination == cluster) return true;
-    const auto it = tasks_.find(entry.second.caller);
-    return it == tasks_.end() ||
-           it->second.incarnation != entry.second.caller_epoch;
+    const TaskRecord* caller = find(entry.second.caller);
+    return caller == nullptr ||
+           caller->incarnation != entry.second.caller_epoch;
   });
 
   // Unacknowledged frames to the dead cluster follow their addressee's new
@@ -1385,38 +1362,20 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
 // Message handlers (run at kernel decode time)
 
 void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
-  const bool phase = machine_.engine().in_worker_phase();
-  if (m.parent != kNoTask) {
-    bool orphan = false;
-    {
-      OptSharedLock lock(registry_mutex_, phase);
-      orphan = !tasks_.contains(m.parent);
-    }
-    if (orphan) {
-      // Orphan initiate: the parent's subtree was reaped by cluster-loss
-      // recovery while this message was in flight.  The restarted tree
-      // re-creates its own children, so this one must not run.  Undo the
-      // placement reservation made at send time.
-      lane().stats.stale_messages_dropped += 1;
-      {
-        OptUniqueLock lock(registry_mutex_, phase);
-        task_homes_.erase(m.task);
-      }
-      lane().load_delta[cluster.index] -= 1;
-      return;
-    }
+  if (m.parent != kNoTask && find(m.parent) == nullptr) {
+    // Orphan initiate: the parent's subtree was reaped by cluster-loss
+    // recovery while this message was in flight.  The restarted tree
+    // re-creates its own children, so this one must not run.  Undo the
+    // placement reservation made at send time.
+    lane().stats.stale_messages_dropped += 1;
+    set_home(m.task, std::nullopt);
+    lane().load_delta[cluster.index] -= 1;
+    return;
   }
-  {
-    bool duplicate = false;
-    {
-      OptSharedLock lock(registry_mutex_, phase);
-      duplicate = tasks_.contains(m.task);
-    }
-    if (duplicate) {
-      // Duplicate initiate (the task already exists here or was re-homed).
-      lane().stats.stale_messages_dropped += 1;
-      return;
-    }
+  if (find(m.task) != nullptr) {
+    // Duplicate initiate (the task already exists here or was re-homed).
+    lane().stats.stale_messages_dropped += 1;
+    return;
   }
   const auto it = code_.find(m.task_type);
   FEM2_CHECK_MSG(it != code_.end(),
@@ -1447,7 +1406,7 @@ void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
   rec.ar_bytes = ar_bytes;
 
   rec.saved_params = m.params;  // kept for re-initiation after cluster loss
-  rec.incarnation = make_incarnation();
+  rec.incarnation = incarnations_.next(machine_.engine());
   rec.api = std::make_unique<TaskApi>(*this, rec.id);
   rec.program = block.factory(*rec.api, std::move(m.params));
   FEM2_CHECK_MSG(rec.program != nullptr, "task factory returned null");
@@ -1456,7 +1415,7 @@ void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
   const TaskId id = rec.id;
   const TaskId parent = rec.parent;
   {
-    OptUniqueLock lock(registry_mutex_, phase);
+    const auto lock = write_lock();
     tasks_.emplace(id, std::move(rec));
   }
   lane().stats.tasks_initiated += 1;
@@ -1469,12 +1428,7 @@ void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
 
 void Os::handle(hw::ClusterId cluster, MsgPauseNotify&& m) {
   (void)cluster;
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(m.parent);
-    if (it != tasks_.end()) recp = &it->second;
-  }
+  TaskRecord* recp = find(m.parent);
   if (recp == nullptr) {
     lane().stats.stale_messages_dropped += 1;
     return;
@@ -1492,12 +1446,7 @@ void Os::handle(hw::ClusterId cluster, MsgPauseNotify&& m) {
 
 void Os::handle(hw::ClusterId cluster, MsgResumeChild&& m) {
   (void)cluster;
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(m.child);
-    if (it != tasks_.end()) recp = &it->second;
-  }
+  TaskRecord* recp = find(m.child);
   if (recp == nullptr) {
     lane().stats.stale_messages_dropped += 1;
     return;
@@ -1515,16 +1464,8 @@ void Os::handle(hw::ClusterId cluster, MsgResumeChild&& m) {
 
 void Os::handle(hw::ClusterId cluster, MsgTerminateNotify&& m) {
   (void)cluster;
-  TaskRecord* childp = nullptr;
-  TaskRecord* parentp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    if (const auto cit = tasks_.find(m.child); cit != tasks_.end())
-      childp = &cit->second;
-    if (const auto it = tasks_.find(m.parent); it != tasks_.end())
-      parentp = &it->second;
-  }
-  if (childp != nullptr) childp->terminate_delivered = true;
+  if (TaskRecord* child = find(m.child)) child->terminate_delivered = true;
+  TaskRecord* parentp = find(m.parent);
   if (parentp == nullptr) {
     lane().stats.stale_messages_dropped += 1;
     return;
@@ -1549,17 +1490,8 @@ void Os::handle(hw::ClusterId cluster, MsgRemoteCall&& m, hw::ClusterId from) {
 
 void Os::handle(hw::ClusterId cluster, MsgRemoteReturn&& m) {
   (void)cluster;
-  const bool phase = machine_.engine().in_worker_phase();
-  {
-    OptUniqueLock lock(registry_mutex_, phase);
-    pending_calls_.erase(m.token);
-  }
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, phase);
-    const auto it = tasks_.find(m.caller);
-    if (it != tasks_.end()) recp = &it->second;
-  }
+  set_pending_call(m.token, std::nullopt);
+  TaskRecord* recp = find(m.caller);
   if (recp == nullptr) {
     lane().stats.stale_messages_dropped += 1;
     return;

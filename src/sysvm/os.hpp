@@ -435,13 +435,9 @@ class Os {
 
   /// Per-engine-shard state: everything a cluster event may touch without
   /// synchronization.  Lane index == engine shard index (one lane per
-  /// cluster, plus the global/host lane).  Id counters are striped
-  /// (id = n * lanes + lane + 1) so serial and parallel runs allocate
-  /// identical ids; stats fold deterministically in lane order.
+  /// cluster, plus the global/host lane); stats fold deterministically in
+  /// lane order.
   struct ShardLane {
-    std::uint64_t next_task_id = 0;
-    std::uint64_t next_call_token = 0;
-    std::uint64_t next_incarnation = 0;
     std::size_t round_robin = 0;
     OsStats stats;
     /// Signed placement-load adjustments this lane has made since the last
@@ -486,8 +482,6 @@ class Os {
 
   ShardLane& lane();
   const ShardLane& lane() const;
-  TaskId make_task_id();
-  std::uint64_t make_incarnation();
   /// Refresh hook (window boundaries): folds every lane's load deltas into
   /// the authoritative load board.
   void refresh_load_board();
@@ -534,8 +528,26 @@ class Os {
   /// The task a message is addressed to, if it is task-addressed.
   static std::optional<TaskId> message_addressee(const Message& m);
 
-  TaskRecord& record(TaskId task);
+  // --- registries -------------------------------------------------------
+  // The locking rule for tasks_ / task_homes_ / pending_calls_ lives here
+  // and nowhere else: their structure (insert, erase, find) is locked only
+  // while Engine::in_worker_phase(); a record's contents belong to its home
+  // cluster's shard (std::map nodes are address-stable) and are read and
+  // written without a lock.
+  OptSharedLock read_lock() const;
+  OptUniqueLock write_lock();
+  /// The task's record, or nullptr if it never existed or was reaped.
+  const TaskRecord* find(TaskId task) const;
+  TaskRecord* find(TaskId task);
+  /// find() that throws on an unknown id.
   const TaskRecord& record(TaskId task) const;
+  TaskRecord& record(TaskId task);
+  /// The task's placement, if one is reserved.
+  std::optional<hw::ClusterId> find_home(TaskId task) const;
+  /// Reserve (or, with nullopt, drop) a task's placement.
+  void set_home(TaskId task, std::optional<hw::ClusterId> home);
+  /// Record (or, with nullopt, retire) an unanswered remote call.
+  void set_pending_call(CallToken token, std::optional<PendingCall> call);
   ClusterState& cluster_state(hw::ClusterId cluster);
 
   // Handlers per message type.
@@ -551,10 +563,7 @@ class Os {
   OsOptions options_;
   std::map<std::string, CodeBlock, std::less<>> code_;
   std::map<std::string, Procedure, std::less<>> procedures_;
-  /// Guards the *structure* of tasks_ / task_homes_ / pending_calls_
-  /// (insert, erase, find).  Record fields themselves are shard-partitioned
-  /// by home cluster (std::map nodes are address-stable), so no lock is
-  /// held while a record is read or written.
+  /// Taken only through read_lock() / write_lock().
   mutable std::shared_mutex registry_mutex_;
   std::map<TaskId, TaskRecord> tasks_;
   /// Placement decided at id-assignment time, so messages addressed to a
@@ -564,6 +573,9 @@ class Os {
   std::vector<Heap> heaps_;
   std::vector<std::optional<ReadyItem>> running_;  ///< indexed by flat PE
   std::vector<ShardLane> lanes_;  ///< one per engine shard
+  hw::StripedIds task_ids_;
+  hw::StripedIds incarnations_;
+  hw::StripedIds call_tokens_;
   /// Authoritative placement loads, refreshed only at window boundaries
   /// (identically in serial and parallel mode, so placement is
   /// thread-count invariant).

@@ -246,6 +246,39 @@ TEST(Runtime, ArrayDiesWithOwnerTask) {
   EXPECT_THROW(s.runtime.gather(leaked), support::CheckError);
 }
 
+// The owner-lifetime check runs where the data lives: routing a window to
+// another cluster reads only the array's location, and the remote read
+// fails on the array's cluster — identically at every host thread count.
+TEST(Runtime, RemoteReadOfFinishedOwnersArrayThrows) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    Stack s{Stack::make_config(3, 2)};
+    s.machine.engine().set_threads(threads);
+    s.runtime.define_task("owner", [](TaskContext& ctx) -> Coro {
+      const auto w = ctx.create_vector({1, 2, 3});
+      co_return sysvm::Payload::of(w, Window::kDescriptorBytes);
+    });
+    s.runtime.define_task("reader", [](TaskContext& ctx) -> Coro {
+      const auto results = co_await forall(ctx, "owner", 1, {});
+      const Window w = results.at(0).as<Window>();
+      EXPECT_NE(ctx.runtime().window_cluster(w), ctx.cluster());
+      (void)co_await ctx.read(w);
+      ADD_FAILURE() << "read of a finished owner's array returned";
+      co_return sysvm::Payload{};
+    });
+    s.runtime.launch("reader");
+    try {
+      s.runtime.run();
+      ADD_FAILURE() << "expected the owner-lifetime error";
+    } catch (const support::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "window refers to an array whose owner task terminated"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Runtime, CollectorGathersDeposits) {
   Stack s{Stack::make_config(3, 3)};
   struct DepositorParams {

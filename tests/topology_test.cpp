@@ -1,13 +1,11 @@
 // Topology suite: window derivation, per-topology latency math, the
-// contention-channel mapping, severed-variant parity with the FaultPlan
-// machinery, and bitwise determinism of every topology across host thread
-// counts (the TopologyDeterminism fixture is also re-run under tsan with
-// FEM2_HOST_THREADS=4 in CI).
+// contention-channel mapping, and bitwise determinism of every topology
+// across host thread counts (the TopologyDeterminism fixture is also re-run
+// under tsan with FEM2_HOST_THREADS=4 in CI).
 #include <gtest/gtest.h>
 
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
-#include "hw/fault.hpp"
 #include "hw/machine.hpp"
 #include "hw/topology.hpp"
 #include "navm/parops.hpp"
@@ -141,45 +139,6 @@ TEST(Topology, BrownoutsScaleLatencyAndBandwidthOnly) {
   // A brownout that would speed a link up is rejected (window safety).
   EXPECT_THROW(DegradedTopology(base, {{ClusterId{0}, ClusterId{1}, 0, 0.5}}),
                support::CheckError);
-}
-
-// A topology with statically severed links must behave exactly like the
-// same machine with the equivalent FaultPlan applied at t=0: identical
-// metrics dump (deliveries, drops, traffic matrix, latency histogram).
-TEST(Topology, SeveredVariantMatchesEquivalentFaultPlan) {
-  const std::vector<std::pair<ClusterId, ClusterId>> severed = {
-      {ClusterId{0}, ClusterId{1}}, {ClusterId{2}, ClusterId{3}}};
-  const auto traffic = [](Machine& machine) {
-    for (std::uint32_t s = 0; s < 4; ++s) {
-      for (std::uint32_t d = 0; d < 4; ++d) {
-        if (s == d) continue;
-        machine.send_packet(ClusterId{s}, ClusterId{d}, 64, {});
-        machine.send_packet(ClusterId{s}, ClusterId{d}, 256, {});
-      }
-    }
-    machine.engine().run();
-  };
-
-  auto severed_config = four_clusters();
-  const auto degraded = std::make_shared<DegradedTopology>(
-      std::make_shared<FlatTopology>(severed_config),
-      std::vector<DegradedTopology::Brownout>{}, severed);
-  severed_config.topology = degraded;
-  Machine severed_machine(severed_config);
-  traffic(severed_machine);
-
-  Machine plan_machine(four_clusters());
-  const FaultPlan plan = degraded->equivalent_fault_plan();
-  FaultInjector injector(plan_machine, plan);
-  injector.arm();
-  // Drain the t=0 fail-link events before offering traffic, so the plan's
-  // severing is in force from the first send — the construction-time state
-  // the severed topology starts in.
-  plan_machine.engine().run();
-  traffic(plan_machine);
-
-  EXPECT_GT(severed_machine.metrics().network.dropped_messages, 0u);
-  EXPECT_EQ(severed_machine.metrics().dump(), plan_machine.metrics().dump());
 }
 
 // --- latency histogram ------------------------------------------------------
