@@ -13,6 +13,7 @@
 //                                           rule type preservation, bounded
 //                                           protocol model checking (exit 1
 //                                           on any finding)
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -43,6 +44,13 @@ int report(const std::vector<analyze::Finding>& findings,
   std::cout << "FAIL: " << failures << " finding(s) at or above "
             << analyze::severity_name(fail_at) << "\n";
   return 1;
+}
+
+/// Parses a whole decimal count into `out`; false on anything else.
+bool parse_count(const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 int lint_grammars() {
@@ -143,10 +151,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--lint-file") == 0 && i + 1 < argc) {
       mode = argv[i];
       file = argv[++i];
-    } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      stride = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--bound") == 0 && i + 1 < argc) {
-      bound = static_cast<std::size_t>(std::stoul(argv[++i]));
+    } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc &&
+               parse_count(argv[i + 1], stride)) {
+      ++i;
+    } else if (std::strcmp(argv[i], "--bound") == 0 && i + 1 < argc &&
+               parse_count(argv[i + 1], bound)) {
+      ++i;
     } else {
       std::cerr << "usage: fem2_analyze [--lint-grammars | --lint-file FILE |"
                    " --check [--stride N] | --verify [--bound N]]\n";

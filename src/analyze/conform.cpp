@@ -13,17 +13,17 @@ constexpr std::size_t kActivityRing = 8;
 }  // namespace
 
 ConformanceChecker::ConformanceChecker(sysvm::Os& os, navm::Runtime* runtime,
-                                       ConformanceOptions options,
+                                       std::size_t snapshot_stride,
+                                       bool check_messages,
                                        std::vector<Finding>& sink)
     : os_(os),
       runtime_(runtime),
-      options_(options),
       sink_(sink),
       navm_grammar_(spec::navm_grammar()),
       sysvm_grammar_(spec::sysvm_grammar()),
-      hw_grammar_(spec::hw_grammar()) {
-  if (options_.snapshot_stride == 0) options_.snapshot_stride = 1;
-}
+      hw_grammar_(spec::hw_grammar()),
+      snapshot_stride_(snapshot_stride == 0 ? 1 : snapshot_stride),
+      check_messages_(check_messages) {}
 
 void ConformanceChecker::set_grammar(Layer layer, hgraph::Grammar grammar) {
   switch (layer) {
@@ -73,7 +73,7 @@ std::string ConformanceChecker::recent_activity() const {
 
 void ConformanceChecker::quiescent_point() {
   ++quiescent_counter_;
-  if (quiescent_counter_ % options_.snapshot_stride != 0) return;
+  if (quiescent_counter_ % snapshot_stride_ != 0) return;
   snapshot();
 }
 
@@ -128,7 +128,7 @@ void ConformanceChecker::snapshot() {
 }
 
 void ConformanceChecker::check_message(const sysvm::Message& message) {
-  if (!options_.check_messages) return;
+  if (!check_messages_) return;
   const auto type = static_cast<std::size_t>(sysvm::message_type(message));
   const std::uint64_t seen = messages_seen_[type]++;
   if (seen >= kMessageWarmup && seen % kMessageStride != 0) return;

@@ -19,18 +19,14 @@
 
 namespace fem2::analyze {
 
-struct ConformanceOptions {
-  /// Snapshot every Nth quiescent point (1 = every point).  Message checks
-  /// are independent of the stride.
-  std::size_t snapshot_stride = 64;
-  /// Check decoded sysvm messages against the `message` production.
-  bool check_messages = true;
-};
-
 class ConformanceChecker {
  public:
+  /// Snapshots every `snapshot_stride`-th quiescent point (0 counts as 1;
+  /// message checks are independent of the stride); `check_messages`
+  /// checks decoded sysvm messages against the `message` production.
   ConformanceChecker(sysvm::Os& os, navm::Runtime* runtime,
-                     ConformanceOptions options, std::vector<Finding>& sink);
+                     std::size_t snapshot_stride, bool check_messages,
+                     std::vector<Finding>& sink);
 
   /// Replace a layer's grammar (tests seed violations with a stricter
   /// grammar; Layer::Appvm is reserved — app state isn't snapshotted here).
@@ -58,12 +54,13 @@ class ConformanceChecker {
 
   sysvm::Os& os_;
   navm::Runtime* runtime_;
-  ConformanceOptions options_;
   std::vector<Finding>& sink_;
 
   hgraph::Grammar navm_grammar_;
   hgraph::Grammar sysvm_grammar_;
   hgraph::Grammar hw_grammar_;
+  std::size_t snapshot_stride_;
+  bool check_messages_;
 
   /// Messages of the same type are structurally near-identical, so after
   /// the first kMessageWarmup of a type, only every kMessageStride-th is

@@ -1,22 +1,50 @@
 #include "hgraph/grammar.hpp"
 
-#include <optional>
 #include <set>
-#include <sstream>
 
 #include "support/check.hpp"
 
 namespace fem2::hgraph {
 
-std::string_view atom_kind_name(AtomKind k) {
-  switch (k) {
-    case AtomKind::Nil: return "NIL";
-    case AtomKind::Int: return "INT";
-    case AtomKind::Real: return "REAL";
-    case AtomKind::String: return "STRING";
-    case AtomKind::Any: return "ANY";
+namespace {
+
+/// The builtin nonterminal names, in AtomKind order.
+constexpr std::string_view kAtomNames[] = {"NIL", "INT", "REAL", "STRING",
+                                           "ANY"};
+static_assert(std::size(kAtomNames) == std::size(kAtomKinds));
+
+// Grammar::check, the conformance hot path, calls these two directly so
+// that they inline there; builtin_atom_kind and family_index forward to
+// them.
+
+/// Builtin nonterminals mapping straight to atom kinds.
+std::optional<AtomKind> builtin_kind(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kAtomNames); ++i)
+    if (name == kAtomNames[i]) return static_cast<AtomKind>(i);
+  return std::nullopt;
+}
+
+/// Parse a label of the form `base[index]`; returns index or nullopt.
+inline std::optional<std::size_t> indexed_suffix(std::string_view label,
+                                                 std::string_view base) {
+  if (label.size() < base.size() + 3) return std::nullopt;
+  if (!label.starts_with(base)) return std::nullopt;
+  if (label[base.size()] != '[' || label.back() != ']') return std::nullopt;
+  const std::string_view digits =
+      label.substr(base.size() + 1, label.size() - base.size() - 2);
+  if (digits.empty()) return std::nullopt;
+  std::size_t value = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::size_t>(c - '0');
   }
-  FEM2_UNREACHABLE("bad AtomKind");
+  return value;
+}
+
+}  // namespace
+
+std::string_view atom_kind_name(AtomKind k) {
+  return kAtomNames[static_cast<std::size_t>(k)];
 }
 
 std::string SourceLoc::to_string() const {
@@ -35,36 +63,19 @@ bool atom_matches(const HGraph& g, NodeId node, AtomKind kind) {
   FEM2_UNREACHABLE("bad AtomKind");
 }
 
-namespace {
-
-/// Builtin nonterminals mapping straight to atom kinds.
-std::optional<AtomKind> builtin_kind(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
+std::optional<AtomKind> builtin_atom_kind(std::string_view name) {
+  return builtin_kind(name);
 }
 
-/// Parse a label of the form `base[index]`; returns index or nullopt.
-std::optional<std::size_t> indexed_suffix(std::string_view label,
-                                          std::string_view base) {
-  if (label.size() < base.size() + 3) return std::nullopt;
-  if (!label.starts_with(base)) return std::nullopt;
-  if (label[base.size()] != '[' || label.back() != ']') return std::nullopt;
-  const std::string_view digits =
-      label.substr(base.size() + 1, label.size() - base.size() - 2);
-  if (digits.empty()) return std::nullopt;
-  std::size_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return value;
+bool atom_subsumed(AtomKind a, AtomKind b) {
+  return a == b || b == AtomKind::Any ||
+         (a == AtomKind::Int && b == AtomKind::Real);
 }
 
-}  // namespace
+std::optional<std::size_t> family_index(std::string_view label,
+                                        std::string_view base) {
+  return indexed_suffix(label, base);
+}
 
 struct Grammar::CheckState {
   // (node, nonterminal) pairs currently being checked (coinduction) or
@@ -79,18 +90,17 @@ Grammar::Grammar() = default;
 
 void Grammar::add_alternative(std::string nonterminal, Alternative alt,
                               SourceLoc loc) {
-  FEM2_CHECK_MSG(!builtin_kind(nonterminal).has_value(),
+  FEM2_CHECK_MSG(!is_builtin(nonterminal),
                  "cannot redefine builtin nonterminal");
   rules_[std::move(nonterminal)].push_back(Rule{std::move(alt), loc});
 }
 
 bool Grammar::is_builtin(std::string_view nonterminal) {
-  return builtin_kind(nonterminal).has_value();
+  return builtin_atom_kind(nonterminal).has_value();
 }
 
 bool Grammar::has_rule(std::string_view nonterminal) const {
-  return builtin_kind(nonterminal).has_value() ||
-         rules_.find(nonterminal) != rules_.end();
+  return is_builtin(nonterminal) || rules_.find(nonterminal) != rules_.end();
 }
 
 std::vector<std::string> Grammar::nonterminals() const {
@@ -241,40 +251,20 @@ bool Grammar::check_alternative(const HGraph& g, NodeId node,
   return true;
 }
 
-namespace {
-
-ConformanceResult undefined_reference(const std::string& rule_name,
-                                      const std::string& target,
-                                      const SourceLoc& loc) {
-  ConformanceResult r;
-  r.ok = false;
-  r.error = "rule '" + rule_name + "' (" + loc.to_string() +
-            ") references undefined nonterminal '" + target + "'";
-  return r;
-}
-
-}  // namespace
-
 ConformanceResult Grammar::validate() const {
+  ConformanceResult result;
   for (const auto& [name, alts] : rules_) {
     for (const auto& rule : alts) {
-      if (const auto* ref = std::get_if<NonterminalRef>(&rule.alternative)) {
-        if (!has_rule(ref->name)) {
-          return undefined_reference(name, ref->name, rule.loc);
-        }
-        continue;
-      }
-      const auto* comp = std::get_if<Composite>(&rule.alternative);
-      if (!comp) continue;
-      for (const auto& pat : comp->arcs) {
-        if (!has_rule(pat.nonterminal)) {
-          const SourceLoc& loc = pat.loc.known() ? pat.loc : rule.loc;
-          return undefined_reference(name, pat.nonterminal, loc);
-        }
-      }
+      for_each_reference(rule, [&](const std::string& target,
+                                   const ArcPattern*, const SourceLoc& loc) {
+        if (!result || has_rule(target)) return;
+        result.ok = false;
+        result.error = "rule '" + name + "' (" + loc.to_string() +
+                       ") references undefined nonterminal '" + target + "'";
+      });
     }
   }
-  return {};
+  return result;
 }
 
 }  // namespace fem2::hgraph

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -33,10 +34,32 @@ namespace fem2::hgraph {
 
 enum class AtomKind { Nil, Int, Real, String, Any };
 
+/// Every atom kind; their names are the builtin nonterminals.
+inline constexpr AtomKind kAtomKinds[] = {AtomKind::Nil, AtomKind::Int,
+                                          AtomKind::Real, AtomKind::String,
+                                          AtomKind::Any};
+
 std::string_view atom_kind_name(AtomKind k);
+
+/// The atom kind a builtin nonterminal name stands for, or nullopt.
+std::optional<AtomKind> builtin_atom_kind(std::string_view name);
+
+/// matches(a) is a subset of matches(b): REAL accepts INT, ANY accepts
+/// everything.
+bool atom_subsumed(AtomKind a, AtomKind b);
 
 /// True if the node's atom satisfies the kind (REAL accepts INT).
 bool atom_matches(const HGraph& g, NodeId node, AtomKind kind);
+
+/// The label of member `index` of the indexed family `base`: "base[index]".
+inline std::string family_label(std::string_view base, std::size_t index) {
+  return std::string(base) + "[" + std::to_string(index) + "]";
+}
+
+/// The index of `label` as a member of the family `base` (a label of the
+/// form base[digits]), or nullopt.
+std::optional<std::size_t> family_index(std::string_view label,
+                                        std::string_view base);
 
 /// Position in the grammar source text (1-based; line 0 = unknown, e.g. a
 /// grammar assembled programmatically rather than parsed).
@@ -78,6 +101,19 @@ struct Rule {
   SourceLoc loc;
 };
 
+/// Calls f(target, arc, loc) for every nonterminal `rule` refers to, in
+/// source order: an alias (arc == nullptr, loc = the rule's) or the
+/// target of each arc pattern (loc = the pattern's when known).
+template <typename F>
+void for_each_reference(const Rule& rule, F&& f) {
+  if (const auto* ref = std::get_if<NonterminalRef>(&rule.alternative)) {
+    f(ref->name, static_cast<const ArcPattern*>(nullptr), rule.loc);
+  } else if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
+    for (const auto& pat : comp->arcs)
+      f(pat.nonterminal, &pat, pat.loc.known() ? pat.loc : rule.loc);
+  }
+}
+
 struct ConformanceResult {
   bool ok = true;
   std::string error;  ///< first failure, with access-path context
@@ -99,7 +135,7 @@ class Grammar {
   bool has_rule(std::string_view nonterminal) const;
   std::vector<std::string> nonterminals() const;
 
-  /// True for the builtin atom nonterminals NIL/INT/REAL/STRING/ANY.
+  /// True for the builtin atom nonterminals (see builtin_atom_kind).
   static bool is_builtin(std::string_view nonterminal);
 
   /// Full production table, for introspection (linting, tooling).

@@ -3,84 +3,30 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <optional>
 #include <vector>
 
 namespace fem2::hgraph {
 
 namespace {
 
-std::optional<AtomKind> builtin_kind(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
-}
-
-/// matches(a) is a subset of matches(b): REAL accepts INT, ANY accepts all.
-bool atom_subsumed(AtomKind a, AtomKind b) {
-  if (a == b || b == AtomKind::Any) return true;
-  return a == AtomKind::Int && b == AtomKind::Real;
-}
-
-/// Would a plain arc labeled `label` be claimed by an indexed-family
-/// pattern with base `base` (i.e. is it of the form base[digits])?
-bool family_claims(std::string_view base, std::string_view label) {
-  if (label.size() < base.size() + 3) return false;
-  if (!label.starts_with(base)) return false;
-  if (label[base.size()] != '[' || label.back() != ']') return false;
-  const std::string_view digits =
-      label.substr(base.size() + 1, label.size() - base.size() - 2);
-  if (digits.empty()) return false;
-  for (char c : digits)
-    if (c < '0' || c > '9') return false;
-  return true;
-}
-
-/// An alternative with aliases resolved away: either a leaf atom or a
-/// composite (borrowed from the owning grammar).
-struct FlatAlt {
-  bool is_atom = false;
-  AtomKind atom = AtomKind::Nil;
-  const Composite* comp = nullptr;
-};
-
-/// Transitively resolve `name` to its non-alias alternatives.  An alias
-/// cycle or an undefined nonterminal contributes nothing (its language is
-/// empty, so "for all alternatives" checks hold vacuously).
 void expand(const Grammar& g, const std::string& name,
-            std::set<std::string>& visiting, std::vector<FlatAlt>& out) {
-  if (const auto kind = builtin_kind(name)) {
-    out.push_back(FlatAlt{true, *kind, nullptr});
+            std::set<std::string>& seen, std::vector<FlatAlternative>& out) {
+  if (!seen.insert(name).second) return;  // alias cycle or already expanded
+  if (const auto kind = builtin_atom_kind(name)) {
+    out.push_back({*kind, nullptr});
     return;
   }
-  if (!visiting.insert(name).second) return;  // alias cycle
   const auto it = g.rules().find(name);
-  if (it == g.rules().end()) {
-    visiting.erase(name);
-    return;
-  }
+  if (it == g.rules().end()) return;
   for (const auto& rule : it->second) {
     if (const auto* kind = std::get_if<AtomKind>(&rule.alternative)) {
-      out.push_back(FlatAlt{true, *kind, nullptr});
+      out.push_back({*kind, nullptr});
     } else if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
-      out.push_back(FlatAlt{false, AtomKind::Nil, comp});
+      out.push_back({AtomKind::Nil, comp});
     } else {
-      expand(g, std::get<NonterminalRef>(rule.alternative).name, visiting,
-             out);
+      expand(g, std::get<NonterminalRef>(rule.alternative).name, seen, out);
     }
   }
-  visiting.erase(name);
-}
-
-std::vector<FlatAlt> flat_alternatives(const Grammar& g,
-                                       const std::string& name) {
-  std::set<std::string> visiting;
-  std::vector<FlatAlt> out;
-  expand(g, name, visiting, out);
-  return out;
 }
 
 /// Every graph matched by an impl pattern with multiplicity `a` is also
@@ -104,18 +50,18 @@ bool pair_holds(const PairSet& holds, const std::string& a,
 
 /// Is every node matching impl alternative `fa` also matched by spec
 /// alternative `fb`, assuming the child pairs in `holds`?
-bool alt_covered(const FlatAlt& fa, const FlatAlt& fb, const PairSet& holds,
-                 std::string* why) {
+bool alt_covered(const FlatAlternative& fa, const FlatAlternative& fb,
+                 const PairSet& holds, std::string* why) {
   const auto fail = [&](std::string reason) {
     if (why != nullptr && why->empty()) *why = std::move(reason);
     return false;
   };
-  if (fa.is_atom && fb.is_atom) {
+  if (fa.is_atom() && fb.is_atom()) {
     if (atom_subsumed(fa.atom, fb.atom)) return true;
     return fail(std::string("atom ") + std::string(atom_kind_name(fa.atom)) +
                 " is not subsumed by " + std::string(atom_kind_name(fb.atom)));
   }
-  if (fa.is_atom) {
+  if (fa.is_atom()) {
     // Leaf atom vs composite: the leaf has no arcs, so the composite must
     // accept an arcless node with that atom.
     if (!atom_subsumed(fa.atom, fb.comp->own_atom))
@@ -129,7 +75,7 @@ bool alt_covered(const FlatAlt& fa, const FlatAlt& fb, const PairSet& holds,
     }
     return true;
   }
-  if (fb.is_atom) {
+  if (fb.is_atom()) {
     // Composite vs leaf atom: only a closed, arcless composite is a leaf.
     if (fa.comp->open || !fa.comp->arcs.empty())
       return fail("composite with arcs cannot refine a leaf atom");
@@ -179,12 +125,12 @@ bool alt_covered(const FlatAlt& fa, const FlatAlt& fb, const PairSet& holds,
       for (const auto& cand : cb.arcs) {
         if (cand.multiplicity == Multiplicity::IndexedFamily &&
             pa.multiplicity != Multiplicity::IndexedFamily &&
-            family_claims(cand.label, pa.label))
+            family_index(pa.label, cand.label))
           return fail("arc '" + pa.label + "' collides with spec family '" +
                       cand.label + "[*]'");
         if (pa.multiplicity == Multiplicity::IndexedFamily &&
             cand.multiplicity != Multiplicity::IndexedFamily &&
-            family_claims(pa.label, cand.label))
+            family_index(cand.label, pa.label))
           return fail("family '" + pa.label + "[*]' collides with spec arc '" +
                       cand.label + "'");
       }
@@ -244,89 +190,67 @@ bool one_step(const Grammar& impl, const Grammar& spec, const std::string& a,
 
 std::vector<std::string> side_names(const Grammar& g) {
   std::vector<std::string> names = g.nonterminals();
-  for (const char* b : {"NIL", "INT", "REAL", "STRING", "ANY"})
-    names.emplace_back(b);
+  for (const AtomKind k : kAtomKinds) names.emplace_back(atom_kind_name(k));
   return names;
 }
 
 }  // namespace
 
-// --- productivity ----------------------------------------------------------
-
-std::set<std::string> productive_nonterminals(const Grammar& grammar) {
-  std::set<std::string> productive;
-  const auto alt_productive = [&](const Alternative& alt) {
-    if (std::holds_alternative<AtomKind>(alt)) return true;
-    if (const auto* ref = std::get_if<NonterminalRef>(&alt)) {
-      return Grammar::is_builtin(ref->name) || productive.contains(ref->name);
-    }
-    const auto& comp = std::get<Composite>(alt);
-    for (const auto& pat : comp.arcs) {
-      if (pat.multiplicity != Multiplicity::One) continue;
-      if (Grammar::is_builtin(pat.nonterminal)) continue;
-      if (!productive.contains(pat.nonterminal)) return false;
-    }
-    return true;
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [name, rules] : grammar.rules()) {
-      if (productive.contains(name)) continue;
-      for (const auto& rule : rules) {
-        if (alt_productive(rule.alternative)) {
-          productive.insert(name);
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return productive;
+std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
+                                               std::string_view nonterminal) {
+  std::set<std::string> seen;
+  std::vector<FlatAlternative> out;
+  expand(grammar, std::string(nonterminal), seen, out);
+  return out;
 }
 
-bool empty_language(const Grammar& grammar, std::string_view nonterminal) {
-  if (Grammar::is_builtin(nonterminal)) return false;
-  return !productive_nonterminals(grammar).contains(std::string(nonterminal));
-}
-
-// --- witness generation ----------------------------------------------------
+// --- productivity and witnesses -------------------------------------------
 
 namespace {
 
 constexpr std::size_t kInfiniteCost = std::numeric_limits<std::size_t>::max();
 
-/// Cheapest-derivation node count per nonterminal (infinite = empty
-/// language).  Builtins cost 1.
-std::map<std::string, std::size_t, std::less<>> derivation_costs(
-    const Grammar& g) {
-  std::map<std::string, std::size_t, std::less<>> cost;
+using CostMap = std::map<std::string, std::size_t, std::less<>>;
+
+std::size_t cost_of(const CostMap& cost, std::string_view name) {
+  if (Grammar::is_builtin(name)) return 1;
+  const auto it = cost.find(name);
+  return it == cost.end() ? kInfiniteCost : it->second;
+}
+
+/// Size of the cheapest derivation through one alternative: one per node
+/// plus one per alias step (so every step of a derivation is strictly
+/// cheaper than the one before it), infinite when a mandatory arc target
+/// or the alias target derives nothing.  Optional, Star and IndexedFamily
+/// arcs admit zero arcs, so they never add cost.
+std::size_t alternative_cost(const Alternative& alt, const CostMap& cost) {
+  if (std::holds_alternative<AtomKind>(alt)) return 1;
+  if (const auto* ref = std::get_if<NonterminalRef>(&alt)) {
+    const std::size_t c = cost_of(cost, ref->name);
+    return c == kInfiniteCost ? kInfiniteCost : c + 1;
+  }
+  std::size_t total = 1;
+  for (const auto& pat : std::get<Composite>(alt).arcs) {
+    if (pat.multiplicity != Multiplicity::One) continue;
+    const std::size_t c = cost_of(cost, pat.nonterminal);
+    if (c == kInfiniteCost) return kInfiniteCost;
+    total += c;
+  }
+  return total;
+}
+
+/// Cheapest derivation size per nonterminal, as a least fixpoint;
+/// infinite means the language is empty.
+CostMap derivation_costs(const Grammar& g) {
+  CostMap cost;
   for (const auto& [name, rules] : g.rules()) cost[name] = kInfiniteCost;
-  const auto cost_of = [&](std::string_view name) -> std::size_t {
-    if (Grammar::is_builtin(name)) return 1;
-    const auto it = cost.find(name);
-    return it == cost.end() ? kInfiniteCost : it->second;
-  };
-  const auto alt_cost = [&](const Alternative& alt) -> std::size_t {
-    if (std::holds_alternative<AtomKind>(alt)) return 1;
-    if (const auto* ref = std::get_if<NonterminalRef>(&alt))
-      return cost_of(ref->name);
-    std::size_t total = 1;
-    for (const auto& pat : std::get<Composite>(alt).arcs) {
-      if (pat.multiplicity != Multiplicity::One) continue;
-      const std::size_t c = cost_of(pat.nonterminal);
-      if (c == kInfiniteCost) return kInfiniteCost;
-      total += c;
-    }
-    return total;
-  };
   bool changed = true;
   while (changed) {
     changed = false;
     for (const auto& [name, rules] : g.rules()) {
       std::size_t best = cost[name];
       for (const auto& rule : rules)
-        best = std::min(best, alt_cost(rule.alternative));
+        best = std::min(best, alternative_cost(rule.alternative, cost));
       if (best < cost[name]) {
         cost[name] = best;
         changed = true;
@@ -349,48 +273,39 @@ NodeId build_atom(HGraph& g, AtomKind kind) {
 
 }  // namespace
 
+std::set<std::string> productive_nonterminals(const Grammar& grammar) {
+  std::set<std::string> productive;
+  for (const auto& [name, cost] : derivation_costs(grammar))
+    if (cost != kInfiniteCost) productive.insert(name);
+  return productive;
+}
+
+bool empty_language(const Grammar& grammar, std::string_view nonterminal) {
+  if (Grammar::is_builtin(nonterminal)) return false;
+  return !productive_nonterminals(grammar).contains(std::string(nonterminal));
+}
+
 WitnessResult witness_graph(const Grammar& grammar,
                             std::string_view nonterminal) {
   WitnessResult result;
-  const auto costs = derivation_costs(grammar);
-  const auto cost_of = [&](std::string_view name) -> std::size_t {
-    if (Grammar::is_builtin(name)) return 1;
-    const auto it = costs.find(name);
-    return it == costs.end() ? kInfiniteCost : it->second;
-  };
-  if (cost_of(nonterminal) == kInfiniteCost) {
+  const CostMap costs = derivation_costs(grammar);
+  if (cost_of(costs, nonterminal) == kInfiniteCost) {
     result.error = "language of " + std::string(nonterminal) +
                    " is empty (no finite derivation)";
     return result;
   }
 
   // Recursive cheapest-alternative construction.  Termination: every
-  // recursive call targets a nonterminal of strictly smaller cheapest
-  // cost (mandatory arcs of the chosen minimal alternative).
+  // recursive call targets a nonterminal of strictly smaller cost (an
+  // alias target, or a mandatory arc of the chosen alternative).
   const std::function<NodeId(std::string_view)> build =
       [&](std::string_view name) -> NodeId {
-    if (const auto kind = builtin_kind(name))
+    if (const auto kind = builtin_atom_kind(name))
       return build_atom(result.graph, *kind);
-    const auto it = grammar.rules().find(name);
-    const std::size_t budget = cost_of(name);
+    const std::size_t budget = cost_of(costs, name);
     const Alternative* chosen = nullptr;
-    for (const auto& rule : it->second) {
-      std::size_t c = kInfiniteCost;
-      if (std::holds_alternative<AtomKind>(rule.alternative)) {
-        c = 1;
-      } else if (const auto* ref =
-                     std::get_if<NonterminalRef>(&rule.alternative)) {
-        c = cost_of(ref->name);
-      } else {
-        c = 1;
-        for (const auto& pat : std::get<Composite>(rule.alternative).arcs) {
-          if (pat.multiplicity != Multiplicity::One) continue;
-          const std::size_t pc = cost_of(pat.nonterminal);
-          c = pc == kInfiniteCost ? kInfiniteCost
-                                  : (c == kInfiniteCost ? c : c + pc);
-        }
-      }
-      if (c <= budget) {
+    for (const auto& rule : grammar.rules().find(name)->second) {
+      if (alternative_cost(rule.alternative, costs) <= budget) {
         chosen = &rule.alternative;
         break;
       }

@@ -17,13 +17,32 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hgraph/grammar.hpp"
 
 namespace fem2::hgraph {
 
-/// Nonterminals that derive at least one finite H-graph.  Builtin atom
-/// nonterminals are always productive and are not listed.
+/// An alternative with aliases resolved away: a leaf atom constraint or a
+/// composite borrowed from the grammar.
+struct FlatAlternative {
+  AtomKind atom = AtomKind::Nil;
+  const Composite* comp = nullptr;  ///< null for a leaf atom
+
+  bool is_atom() const { return comp == nullptr; }
+};
+
+/// The alternatives of `nonterminal` with alias chains followed, in source
+/// order, each nonterminal expanded once.  A builtin yields its atom; an
+/// undefined nonterminal or an alias cycle contributes nothing (its
+/// language is empty, so "for all alternatives" checks hold vacuously).
+std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
+                                               std::string_view nonterminal);
+
+/// Nonterminals that derive at least one finite H-graph (least fixpoint
+/// over the productions: a composite needs every mandatory arc target
+/// productive).  Builtin atom nonterminals are always productive and are
+/// not listed.
 std::set<std::string> productive_nonterminals(const Grammar& grammar);
 
 /// True when the nonterminal derives no finite object (undefined

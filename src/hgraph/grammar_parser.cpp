@@ -109,15 +109,6 @@ class Lexer {
   std::size_t line_start_ = 0;
 };
 
-std::optional<AtomKind> atom_kind_from_name(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
-}
-
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -126,6 +117,11 @@ class Parser {
     Grammar g;
     while (peek().kind != TokKind::End) {
       const Token name = expect(TokKind::Ident, "rule name");
+      if (Grammar::is_builtin(name.text)) {
+        throw GrammarParseError(
+            "grammar parse error: cannot redefine builtin nonterminal '" +
+            name.text + "' at " + name.loc.to_string());
+      }
       expect(TokKind::Defines, "'::='");
       while (true) {
         const SourceLoc alt_loc = peek().loc;
@@ -142,7 +138,7 @@ class Parser {
   Alternative parse_alternative() {
     if (peek().kind == TokKind::LBrace) return parse_composite();
     const Token name = expect(TokKind::Ident, "atom kind or nonterminal");
-    if (const auto kind = atom_kind_from_name(name.text)) return *kind;
+    if (const auto kind = builtin_atom_kind(name.text)) return *kind;
     return NonterminalRef{name.text};
   }
 
@@ -161,7 +157,7 @@ class Parser {
       if (peek().kind == TokKind::At) {
         advance();
         const Token kind = expect(TokKind::Ident, "atom kind after '@'");
-        const auto k = atom_kind_from_name(kind.text);
+        const auto k = builtin_atom_kind(kind.text);
         if (!k) {
           throw GrammarParseError("grammar parse error: '" + kind.text +
                                   "' is not an atom kind at " +

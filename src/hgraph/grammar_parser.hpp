@@ -24,7 +24,8 @@ class GrammarParseError : public support::Error {
 };
 
 /// Parse a complete grammar.  Also runs Grammar::validate() and throws
-/// GrammarParseError if any referenced nonterminal is undefined.
+/// GrammarParseError if any referenced nonterminal is undefined or a rule
+/// redefines a builtin atom nonterminal.
 Grammar parse_grammar(std::string_view text);
 
 }  // namespace fem2::hgraph

@@ -310,6 +310,14 @@ TEST(GrammarParser, UnterminatedAlternativeReportsLocation) {
   EXPECT_NE(error.find("line 1, col 12"), std::string::npos) << error;
 }
 
+TEST(GrammarParser, BuiltinRedefinitionReportsRuleLocation) {
+  const std::string error = parse_error_of("a ::= INT\nINT ::= REAL\n");
+  EXPECT_NE(error.find("cannot redefine builtin nonterminal 'INT'"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("line 2, col 1"), std::string::npos) << error;
+}
+
 class GrammarParserRobustness
     : public ::testing::TestWithParam<const char*> {};
 

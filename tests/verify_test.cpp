@@ -40,6 +40,20 @@ loop ::= { next: loop }
   EXPECT_FALSE(hgraph::witness_graph(g, "loop").ok);
 }
 
+TEST(GrammarAlgorithms, WitnessThroughAliasCycleTerminates) {
+  // Each nonterminal's first alternative aliases back into the cycle.
+  const Grammar g = parse_grammar(R"(
+root  ::= other | { v: INT }
+other ::= root | STRING
+self  ::= self | REAL
+)");
+  for (const std::string& nt : g.nonterminals()) {
+    const auto witness = hgraph::witness_graph(g, nt);
+    ASSERT_TRUE(witness.ok) << nt << ": " << witness.error;
+    EXPECT_TRUE(g.conforms(witness.graph, witness.root, nt)) << nt;
+  }
+}
+
 TEST(GrammarAlgorithms, WitnessesOfAllLayerGrammarsConform) {
   for (const Grammar& g :
        {spec::appvm_grammar(), spec::db_grammar(), spec::navm_grammar(),
