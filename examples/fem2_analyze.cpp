@@ -13,12 +13,18 @@
 //                                           rule type preservation, bounded
 //                                           protocol model checking (exit 1
 //                                           on any finding)
+//
+// Several modes may be given; they run in command-line order and the exit
+// code is the worst of theirs (--check is the default).
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analyze/analyzer.hpp"
 #include "analyze/verify.hpp"
@@ -141,16 +147,19 @@ int verify(std::size_t bound) {
 int main(int argc, char** argv) {
   std::size_t stride = 64;
   std::size_t bound = 0;
-  const char* mode = "--check";
-  const char* file = nullptr;
+  // The requested modes, run in command-line order once every option is
+  // parsed.
+  std::vector<std::function<int()>> modes;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lint-grammars") == 0 ||
-        std::strcmp(argv[i], "--check") == 0 ||
-        std::strcmp(argv[i], "--verify") == 0) {
-      mode = argv[i];
+    if (std::strcmp(argv[i], "--lint-grammars") == 0) {
+      modes.emplace_back(lint_grammars);
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      modes.emplace_back([&] { return check(stride); });
+    } else if (std::strcmp(argv[i], "--verify") == 0) {
+      modes.emplace_back([&] { return verify(bound); });
     } else if (std::strcmp(argv[i], "--lint-file") == 0 && i + 1 < argc) {
-      mode = argv[i];
-      file = argv[++i];
+      const char* file = argv[++i];
+      modes.emplace_back([file] { return lint_file(file); });
     } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc &&
                parse_count(argv[i + 1], stride)) {
       ++i;
@@ -158,13 +167,13 @@ int main(int argc, char** argv) {
                parse_count(argv[i + 1], bound)) {
       ++i;
     } else {
-      std::cerr << "usage: fem2_analyze [--lint-grammars | --lint-file FILE |"
-                   " --check [--stride N] | --verify [--bound N]]\n";
+      std::cerr << "usage: fem2_analyze [--lint-grammars] [--lint-file FILE]"
+                   " [--check [--stride N]] [--verify [--bound N]]\n";
       return 2;
     }
   }
-  if (std::strcmp(mode, "--lint-grammars") == 0) return lint_grammars();
-  if (std::strcmp(mode, "--lint-file") == 0) return lint_file(file);
-  if (std::strcmp(mode, "--verify") == 0) return verify(bound);
-  return check(stride);
+  if (modes.empty()) modes.emplace_back([&] { return check(stride); });
+  int status = 0;
+  for (const auto& run : modes) status = std::max(status, run());
+  return status;
 }

@@ -5,12 +5,6 @@
 
 namespace fem2::db {
 
-RetryPolicy RetryPolicy::none() {
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  return policy;
-}
-
 RetrySchedule::RetrySchedule(RetryPolicy policy)
     : policy_(policy), rng_(policy.seed) {}
 

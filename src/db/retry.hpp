@@ -39,9 +39,6 @@ struct RetryPolicy {
   std::chrono::microseconds overall_timeout{0};
   /// Seed for the jitter stream (give each session its own).
   std::uint64_t seed = 0x5eedf00dULL;
-
-  /// A policy that never retries.
-  static RetryPolicy none();
 };
 
 /// The deterministic core: yields the backoff before each retry, or

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "fem/assembly.hpp"
@@ -12,15 +11,6 @@
 #include "support/check.hpp"
 
 namespace fem2::fem1 {
-
-std::string Fem1Result::summary() const {
-  std::ostringstream os;
-  os << (completed ? (converged ? "converged" : "did not converge")
-                   : "STALLED (failed processor, static assignment)")
-     << ", iterations " << iterations << ", elapsed " << elapsed
-     << " cycles, utilization " << pe_utilization;
-  return os.str();
-}
 
 namespace {
 

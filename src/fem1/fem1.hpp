@@ -59,8 +59,6 @@ struct Fem1Result {
   std::uint64_t bus_messages = 0;
   std::uint64_t bus_words = 0;
   double pe_utilization = 0.0;  ///< compute cycles / (elapsed × processors)
-
-  std::string summary() const;
 };
 
 enum class Fem1Solver { Jacobi, GaussSeidel };

@@ -16,11 +16,16 @@
 // `@KIND` constrains the composite node's own atom (default NIL); `...`
 // makes the composite open (extra arcs permitted).
 //
-// Conformance is coinductive (greatest fixpoint): a node revisited while
-// its own check is in progress is assumed to conform, so cyclic data
-// objects (rings, doubly linked structures) check correctly.
+// Conformance is the greatest fixpoint over (node, nonterminal) pairs, read
+// off the same flattened alternatives as the static algorithms
+// (grammar_algorithms.hpp): aliases are flattened away (flat_alternatives),
+// so an alias cycle adds nothing, and a builtin arc target such as `x: INT`
+// is a leaf atom.  Only a revisit through arcs is coinductive: a pair met
+// again while its own check is in progress is assumed to conform, so cyclic
+// data objects (rings, doubly linked structures) check correctly.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -114,6 +119,15 @@ void for_each_reference(const Rule& rule, F&& f) {
   }
 }
 
+/// An alternative with aliases resolved away: a leaf atom constraint or a
+/// composite borrowed from the grammar.
+struct FlatAlternative {
+  AtomKind atom = AtomKind::Nil;
+  const Composite* comp = nullptr;  ///< null for a leaf atom
+
+  bool is_atom() const { return comp == nullptr; }
+};
+
 struct ConformanceResult {
   bool ok = true;
   std::string error;  ///< first failure, with access-path context
@@ -126,11 +140,15 @@ class Grammar {
   using RuleMap = std::map<std::string, std::vector<Rule>, std::less<>>;
 
   Grammar();
-
-  /// Add an alternative for `nonterminal` (creating the rule if needed).
-  /// `loc` records where the alternative appears in the grammar source.
-  void add_alternative(std::string nonterminal, Alternative alt,
-                       SourceLoc loc = {});
+  /// A grammar with these productions, each alternative with the place in
+  /// the grammar source it comes from.  No builtin may be redefined.
+  explicit Grammar(RuleMap rules);
+  // Copies rebuild the dense form, which points into rules_; moves keep
+  // the map nodes it points to.
+  Grammar(const Grammar& other);
+  Grammar& operator=(const Grammar& other);
+  Grammar(Grammar&&) = default;
+  Grammar& operator=(Grammar&&) = default;
 
   bool has_rule(std::string_view nonterminal) const;
   std::vector<std::string> nonterminals() const;
@@ -152,13 +170,43 @@ class Grammar {
   ConformanceResult validate() const;
 
  private:
+  /// A flattened alternative; a composite's arc targets are the dense
+  /// indices targets_[targets + k], one per flat.comp->arcs entry.
+  struct DenseAlternative {
+    FlatAlternative flat;
+    std::uint32_t targets = 0;
+  };
+  /// A nonterminal by dense index: the builtins first (index = AtomKind),
+  /// then the rules in name order, then undefined arc targets.  Its
+  /// flattened alternatives are alts_[first, last).
+  struct DenseNonterminal {
+    std::string_view name;  ///< a builtin name or a string in rules_
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    bool leaf = true;  ///< every alternative is a leaf atom (no arc to follow)
+  };
   struct CheckState;
-  bool check(const HGraph& g, NodeId node, const std::string& nonterminal,
-             CheckState& state) const;
-  bool check_alternative(const HGraph& g, NodeId node, const Alternative& alt,
-                         CheckState& state) const;
+
+  /// Rebuild dense_, alts_ and targets_ from rules_.
+  void compile();
+  bool check(NodeId node, std::uint32_t nt, CheckState& state,
+             std::uint32_t& low) const;
+  bool check_alternative(NodeId node, std::uint32_t nt,
+                         const DenseAlternative& alt, CheckState& state,
+                         std::uint32_t& low) const;
 
   RuleMap rules_;
+  // rules_ resolved for conforms().
+  std::vector<DenseNonterminal> dense_;
+  std::vector<DenseAlternative> alts_;
+  std::vector<std::uint32_t> targets_;
 };
+
+/// The alternatives of `nonterminal` with alias chains followed, in source
+/// order, each nonterminal expanded once.  A builtin yields its atom; an
+/// undefined nonterminal or an alias cycle contributes nothing (its
+/// language is empty, so "for all alternatives" checks hold vacuously).
+std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
+                                               std::string_view nonterminal);
 
 }  // namespace fem2::hgraph

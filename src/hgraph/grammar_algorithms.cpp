@@ -9,26 +9,6 @@ namespace fem2::hgraph {
 
 namespace {
 
-void expand(const Grammar& g, const std::string& name,
-            std::set<std::string>& seen, std::vector<FlatAlternative>& out) {
-  if (!seen.insert(name).second) return;  // alias cycle or already expanded
-  if (const auto kind = builtin_atom_kind(name)) {
-    out.push_back({*kind, nullptr});
-    return;
-  }
-  const auto it = g.rules().find(name);
-  if (it == g.rules().end()) return;
-  for (const auto& rule : it->second) {
-    if (const auto* kind = std::get_if<AtomKind>(&rule.alternative)) {
-      out.push_back({*kind, nullptr});
-    } else if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
-      out.push_back({AtomKind::Nil, comp});
-    } else {
-      expand(g, std::get<NonterminalRef>(rule.alternative).name, seen, out);
-    }
-  }
-}
-
 /// Every graph matched by an impl pattern with multiplicity `a` is also
 /// matched when the spec pattern declares multiplicity `b`.  Families
 /// claim differently-shaped labels than plain patterns, so they only
@@ -196,14 +176,6 @@ std::vector<std::string> side_names(const Grammar& g) {
 
 }  // namespace
 
-std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
-                                               std::string_view nonterminal) {
-  std::set<std::string> seen;
-  std::vector<FlatAlternative> out;
-  expand(grammar, std::string(nonterminal), seen, out);
-  return out;
-}
-
 // --- productivity and witnesses -------------------------------------------
 
 namespace {
@@ -278,11 +250,6 @@ std::set<std::string> productive_nonterminals(const Grammar& grammar) {
   for (const auto& [name, cost] : derivation_costs(grammar))
     if (cost != kInfiniteCost) productive.insert(name);
   return productive;
-}
-
-bool empty_language(const Grammar& grammar, std::string_view nonterminal) {
-  if (Grammar::is_builtin(nonterminal)) return false;
-  return !productive_nonterminals(grammar).contains(std::string(nonterminal));
 }
 
 WitnessResult witness_graph(const Grammar& grammar,

@@ -1,7 +1,7 @@
 // Language-level algorithms on H-graph grammars (the static half of
 // fem2_analyze --verify):
 //
-//   * productivity / emptiness — which nonterminals derive at least one
+//   * productivity — which nonterminals derive at least one
 //     finite H-graph (least fixpoint over the productions);
 //   * witness generation — a minimal finite H-graph in the language of a
 //     productive nonterminal, built from the cheapest derivation (the
@@ -11,7 +11,9 @@
 //     refines(G_impl, A, G_spec, B): every H-graph in L_impl(A) is also in
 //     L_spec(B).  Sound but incomplete: a "no" may be spurious when the
 //     spec only admits the impl shapes via pattern combinations the
-//     simulation does not explore; a "yes" is always trustworthy.
+//     simulation does not explore; a "yes" is always trustworthy, because
+//     the simulation and Grammar::conforms read the same flattened
+//     alternatives.
 #pragma once
 
 #include <set>
@@ -23,31 +25,11 @@
 
 namespace fem2::hgraph {
 
-/// An alternative with aliases resolved away: a leaf atom constraint or a
-/// composite borrowed from the grammar.
-struct FlatAlternative {
-  AtomKind atom = AtomKind::Nil;
-  const Composite* comp = nullptr;  ///< null for a leaf atom
-
-  bool is_atom() const { return comp == nullptr; }
-};
-
-/// The alternatives of `nonterminal` with alias chains followed, in source
-/// order, each nonterminal expanded once.  A builtin yields its atom; an
-/// undefined nonterminal or an alias cycle contributes nothing (its
-/// language is empty, so "for all alternatives" checks hold vacuously).
-std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
-                                               std::string_view nonterminal);
-
 /// Nonterminals that derive at least one finite H-graph (least fixpoint
 /// over the productions: a composite needs every mandatory arc target
 /// productive).  Builtin atom nonterminals are always productive and are
 /// not listed.
 std::set<std::string> productive_nonterminals(const Grammar& grammar);
-
-/// True when the nonterminal derives no finite object (undefined
-/// nonterminals count as empty).
-bool empty_language(const Grammar& grammar, std::string_view nonterminal);
 
 struct WitnessResult {
   bool ok = false;

@@ -114,9 +114,9 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Grammar parse() {
-    Grammar g;
+    Grammar::RuleMap rules;
     while (peek().kind != TokKind::End) {
-      const Token name = expect(TokKind::Ident, "rule name");
+      const Token& name = expect(TokKind::Ident, "rule name");
       if (Grammar::is_builtin(name.text)) {
         throw GrammarParseError(
             "grammar parse error: cannot redefine builtin nonterminal '" +
@@ -125,11 +125,12 @@ class Parser {
       expect(TokKind::Defines, "'::='");
       while (true) {
         const SourceLoc alt_loc = peek().loc;
-        g.add_alternative(name.text, parse_alternative(), alt_loc);
+        rules[name.text].push_back(Rule{parse_alternative(), alt_loc});
         if (peek().kind != TokKind::Pipe) break;
         advance();
       }
     }
+    Grammar g(std::move(rules));
     if (const auto v = g.validate(); !v) throw GrammarParseError(v.error);
     return g;
   }
@@ -137,7 +138,7 @@ class Parser {
  private:
   Alternative parse_alternative() {
     if (peek().kind == TokKind::LBrace) return parse_composite();
-    const Token name = expect(TokKind::Ident, "atom kind or nonterminal");
+    const Token& name = expect(TokKind::Ident, "atom kind or nonterminal");
     if (const auto kind = builtin_atom_kind(name.text)) return *kind;
     return NonterminalRef{name.text};
   }
@@ -156,7 +157,7 @@ class Parser {
       }
       if (peek().kind == TokKind::At) {
         advance();
-        const Token kind = expect(TokKind::Ident, "atom kind after '@'");
+        const Token& kind = expect(TokKind::Ident, "atom kind after '@'");
         const auto k = builtin_atom_kind(kind.text);
         if (!k) {
           throw GrammarParseError("grammar parse error: '" + kind.text +
@@ -167,7 +168,7 @@ class Parser {
         continue;
       }
       ArcPattern pat;
-      const Token label = expect(TokKind::Ident, "arc label");
+      const Token& label = expect(TokKind::Ident, "arc label");
       for (const auto& prior : comp.arcs) {
         if (prior.label == label.text) {
           throw GrammarParseError(
@@ -205,15 +206,13 @@ class Parser {
   const Token& peek() const { return tokens_[pos_]; }
   void advance() { ++pos_; }
 
-  Token expect(TokKind kind, std::string_view what) {
+  const Token& expect(TokKind kind, std::string_view what) {
     if (peek().kind != kind) {
       throw GrammarParseError("grammar parse error: expected " +
                               std::string(what) + ", found '" + peek().text +
                               "' at " + peek().loc.to_string());
     }
-    Token t = peek();
-    advance();
-    return t;
+    return tokens_[pos_++];
   }
 
   std::vector<Token> tokens_;

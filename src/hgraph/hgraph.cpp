@@ -122,35 +122,6 @@ std::vector<NodeId> HGraph::reachable(NodeId root) const {
   return order;
 }
 
-bool HGraph::structurally_equal(const HGraph& ga, NodeId a, const HGraph& gb,
-                                NodeId b) {
-  // Parallel DFS building a bijective correspondence; a mismatch on revisit
-  // (different sharing or cycle structure) fails.
-  std::map<std::uint32_t, std::uint32_t> forward;
-  std::map<std::uint32_t, std::uint32_t> backward;
-  std::vector<std::pair<NodeId, NodeId>> stack{{a, b}};
-  while (!stack.empty()) {
-    auto [na, nb] = stack.back();
-    stack.pop_back();
-    auto [it, inserted] = forward.emplace(na.index, nb.index);
-    if (!inserted) {
-      if (it->second != nb.index) return false;
-      continue;
-    }
-    auto [rit, rinserted] = backward.emplace(nb.index, na.index);
-    if (!rinserted && rit->second != na.index) return false;
-    if (ga.value(na) != gb.value(nb)) return false;
-    const auto& arcs_a = ga.arcs(na);
-    const auto& arcs_b = gb.arcs(nb);
-    if (arcs_a.size() != arcs_b.size()) return false;
-    for (std::size_t i = 0; i < arcs_a.size(); ++i) {
-      if (arcs_a[i].label != arcs_b[i].label) return false;
-      stack.emplace_back(arcs_a[i].target, arcs_b[i].target);
-    }
-  }
-  return true;
-}
-
 std::string atom_to_string(const Atom& a) {
   struct Visitor {
     std::string operator()(std::monostate) const { return "nil"; }
@@ -181,25 +152,6 @@ std::string HGraph::to_string(NodeId root) const {
       os << " ." << arc.label << "->n" << number[arc.target.index];
     os << "\n";
   }
-  return os.str();
-}
-
-std::string HGraph::to_dot(NodeId root, std::string_view graph_name) const {
-  const auto order = reachable(root);
-  std::map<std::uint32_t, std::size_t> number;
-  for (std::size_t i = 0; i < order.size(); ++i)
-    number[order[i].index] = i;
-
-  std::ostringstream os;
-  os << "digraph " << graph_name << " {\n";
-  for (const NodeId n : order) {
-    os << "  n" << number[n.index] << " [label=\""
-       << atom_to_string(value(n)) << "\"];\n";
-    for (const auto& arc : node(n).arcs)
-      os << "  n" << number[n.index] << " -> n" << number[arc.target.index]
-         << " [label=\"" << arc.label << "\"];\n";
-  }
-  os << "}\n";
   return os.str();
 }
 

@@ -91,18 +91,9 @@ class HGraph {
   /// depth-first, arc-insertion order.
   std::vector<NodeId> reachable(NodeId root) const;
 
-  // --- comparison / rendering ---------------------------------------------
-  /// Structural equality of the subgraphs rooted at a and b: same atoms and
-  /// same arc structure under the correspondence induced by a parallel
-  /// depth-first walk (arc order significant; cycles handled).
-  static bool structurally_equal(const HGraph& ga, NodeId a, const HGraph& gb,
-                                 NodeId b);
-
+  // --- rendering -----------------------------------------------------------
   /// Deterministic multi-line dump of the subgraph rooted at `root`.
   std::string to_string(NodeId root) const;
-
-  /// Graphviz dot of the subgraph rooted at `root`.
-  std::string to_dot(NodeId root, std::string_view graph_name = "hgraph") const;
 
   /// Approximate storage footprint in bytes (for the metrics benches).
   std::size_t storage_bytes() const;

@@ -20,11 +20,6 @@ void Tracer::record(TraceEvent event) {
   events_.push_back(event);
 }
 
-void Tracer::clear() {
-  events_.clear();
-  dropped_ = 0;
-}
-
 std::string Tracer::render_pe_gantt(const MachineConfig& config, Cycles begin,
                                     Cycles end, std::size_t buckets) const {
   FEM2_CHECK(end > begin && buckets > 0);

@@ -44,7 +44,6 @@ class Tracer {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t dropped() const { return dropped_; }
-  void clear();
 
   /// Per-PE busy fraction within [begin, end), one row per PE, rendered as
   /// a text Gantt with `buckets` columns ('#' ≥75% busy, '+' ≥25%, '.' >0).

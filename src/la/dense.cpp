@@ -50,13 +50,6 @@ Vector DenseMatrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-Vector DenseMatrix::multiply_transpose(std::span<const double> x) const {
-  FEM2_CHECK(x.size() == rows_);
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) axpy(x[r], row(r), y);
-  return y;
-}
-
 DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
   FEM2_CHECK(cols_ == other.rows_);
   DenseMatrix out(rows_, other.cols_);

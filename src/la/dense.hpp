@@ -33,7 +33,6 @@ class DenseMatrix {
   DenseMatrix transpose() const;
 
   Vector multiply(std::span<const double> x) const;         ///< A x
-  Vector multiply_transpose(std::span<const double> x) const;  ///< Aᵀ x
   DenseMatrix multiply(const DenseMatrix& other) const;     ///< A B
 
   void add_scaled(const DenseMatrix& other, double alpha);  ///< A += αB

@@ -112,10 +112,4 @@ Vector SkylineMatrix::solve(std::span<const double> b) const {
   return y;
 }
 
-std::size_t SkylineMatrix::max_column_height() const {
-  std::size_t m = 0;
-  for (std::size_t j = 0; j < size(); ++j) m = std::max(m, col_height(j));
-  return m;
-}
-
 }  // namespace fem2::la

@@ -37,9 +37,6 @@ class SkylineMatrix {
   /// Solve A x = b using the factorization (factorize() must have run).
   Vector solve(std::span<const double> b) const;
 
-  /// Max column height of the profile (bandwidth statistic).
-  std::size_t max_column_height() const;
-
  private:
   std::size_t col_height(std::size_t j) const { return j - first_row_[j] + 1; }
 

@@ -137,20 +137,6 @@ void CsrMatrix::multiply_rows(std::span<const double> x, std::size_t row_begin,
             row_end, y);
 }
 
-Vector CsrMatrix::multiply_transpose(std::span<const double> x) const {
-  FEM2_CHECK(x.size() == rows());
-  const auto row_ptr = pattern_->row_ptr();
-  const auto col_idx = pattern_->col_idx();
-  Vector y(cols(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      y[col_idx[k]] += values_[k] * xr;
-  }
-  return y;
-}
-
 double CsrMatrix::value_at(std::size_t row, std::size_t col) const {
   const std::size_t k = pattern_->find(row, col);
   return k == SparsityPattern::npos ? 0.0 : values_[k];

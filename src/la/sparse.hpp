@@ -105,8 +105,6 @@ class CsrMatrix {
   void multiply_rows(std::span<const double> x, std::size_t row_begin,
                      std::size_t row_end, std::span<double> y) const;
 
-  Vector multiply_transpose(std::span<const double> x) const;  ///< y = Aᵀ x
-
   double value_at(std::size_t row, std::size_t col) const;  ///< 0 if absent
 
   Vector diagonal() const;

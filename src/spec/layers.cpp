@@ -4,6 +4,10 @@
 
 namespace fem2::spec {
 
+// Each *_grammar() parses its constant text once per process and returns
+// a copy: every Analyzer takes three of them, and a copy costs a fraction
+// of a parse.
+
 // ---------------------------------------------------------------------------
 // Layer 1: application user's virtual machine
 
@@ -57,7 +61,9 @@ storedver   ::= { revision: INT, kind: STRING, bytes: INT, ... }
 }
 
 hgraph::Grammar appvm_grammar() {
-  return hgraph::parse_grammar(appvm_grammar_text());
+  static const hgraph::Grammar grammar =
+      hgraph::parse_grammar(appvm_grammar_text());
+  return grammar;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +98,9 @@ dbengine  ::= { mode: STRING, wal: walstate, stats: dbstats,
 }
 
 hgraph::Grammar db_grammar() {
-  return hgraph::parse_grammar(db_grammar_text());
+  static const hgraph::Grammar grammar =
+      hgraph::parse_grammar(db_grammar_text());
+  return grammar;
 }
 
 // ---------------------------------------------------------------------------
@@ -115,7 +123,9 @@ tasksystem  ::= { task[*]: task, array[*]: array }
 }
 
 hgraph::Grammar navm_grammar() {
-  return hgraph::parse_grammar(navm_grammar_text());
+  static const hgraph::Grammar grammar =
+      hgraph::parse_grammar(navm_grammar_text());
+  return grammar;
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +160,9 @@ kernel      ::= { cluster: INT, readyqueue: readyqueue, heap: heapstate }
 }
 
 hgraph::Grammar sysvm_grammar() {
-  return hgraph::parse_grammar(sysvm_grammar_text());
+  static const hgraph::Grammar grammar =
+      hgraph::parse_grammar(sysvm_grammar_text());
+  return grammar;
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +185,9 @@ machine     ::= { clusters: INT, pes_per_cluster: INT, now: INT,
 }
 
 hgraph::Grammar hw_grammar() {
-  return hgraph::parse_grammar(hw_grammar_text());
+  static const hgraph::Grammar grammar =
+      hgraph::parse_grammar(hw_grammar_text());
+  return grammar;
 }
 
 }  // namespace fem2::spec

@@ -59,7 +59,9 @@ mixed   ::= INT | ANY
                            hgraph::SourceLoc{7, 11}});
   dup_comp.arcs.push_back({"x", hgraph::Multiplicity::One, "REAL",
                            hgraph::SourceLoc{7, 19}});
-  grammar.add_alternative("dup", std::move(dup_comp), hgraph::SourceLoc{7, 1});
+  auto rules = grammar.rules();
+  rules["dup"].push_back({std::move(dup_comp), hgraph::SourceLoc{7, 1}});
+  grammar = hgraph::Grammar(std::move(rules));
   LintOptions options;
   options.roots = {"root"};
   const auto findings = lint_grammar(grammar, "seeded", options);
@@ -85,8 +87,9 @@ mixed   ::= INT | ANY
 TEST(GrammarLint, DetectsUndefinedNonterminalInHandBuiltGrammar) {
   // parse_grammar validates eagerly, so build the defective grammar by hand
   // (the lint pass must not depend on the parser's own validation).
-  hgraph::Grammar grammar;
-  grammar.add_alternative("a", hgraph::NonterminalRef{"missing"});
+  hgraph::Grammar::RuleMap rules;
+  rules["a"].push_back({hgraph::NonterminalRef{"missing"}, {}});
+  const hgraph::Grammar grammar(std::move(rules));
   const auto findings = lint_grammar(grammar, "handmade");
   const auto* f = first_with_rule(findings, "undefined-nonterminal");
   ASSERT_NE(f, nullptr) << dump(findings);

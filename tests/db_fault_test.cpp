@@ -721,7 +721,9 @@ TEST(Retry, OverallTimeoutBoundsTheScheduledBackoff) {
 }
 
 TEST(Retry, NonePolicyNeverRetries) {
-  db::RetrySchedule schedule(db::RetryPolicy::none());
+  db::RetryPolicy policy;
+  policy.max_attempts = 1;
+  db::RetrySchedule schedule(policy);
   EXPECT_FALSE(schedule.next_delay().has_value());
 }
 

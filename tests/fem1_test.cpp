@@ -114,16 +114,5 @@ TEST(Fem1, BusTrafficAppearsWhenNeighborsCannotCover) {
   EXPECT_GT(result.link_words, 0u);
 }
 
-TEST(Fem1, SummaryStringIsReadable) {
-  const auto a = laplacian_1d(8);
-  std::vector<double> rhs(8, 1.0);
-  const auto ok = fem1_solve(a, rhs, Fem1Config{});
-  EXPECT_NE(ok.summary().find("converged"), std::string::npos);
-  Fem1Config dead;
-  dead.failed_processors = 1;
-  const auto stalled = fem1_solve(a, rhs, dead);
-  EXPECT_NE(stalled.summary().find("STALLED"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace fem2::fem1

@@ -302,8 +302,6 @@ TEST(Tracer, BoundedCapacityDropsOldest) {
   EXPECT_GT(tracer.dropped(), 0u);
   // The newest events survive.
   EXPECT_EQ(tracer.events().back().time, 249u);
-  tracer.clear();
-  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(Machine, TrafficMatrixCountsPairs) {

@@ -82,21 +82,6 @@ TEST(CsrProperty, SpmvMatchesDense) {
   }
 }
 
-TEST(CsrProperty, TransposeSpmvMatchesDense) {
-  for (const Shape shape : kShapes) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const auto m = random_sparse(shape, 0.4, seed * 1151);
-      support::Rng rng(seed + 17);
-      const Vector x = random_vector(shape.rows, rng);
-      const Vector ys = m.csr.multiply_transpose(x);
-      const Vector yd = m.dense.multiply_transpose(x);
-      ASSERT_EQ(ys.size(), yd.size());
-      for (std::size_t i = 0; i < ys.size(); ++i)
-        EXPECT_NEAR(ys[i], yd[i], 1e-12);
-    }
-  }
-}
-
 TEST(CsrProperty, DuplicateEntryAssemblySums) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto m = random_sparse({9, 9}, 0.5, seed * 313, true);
@@ -114,8 +99,6 @@ TEST(CsrProperty, EmptyRowsAndColumns) {
   EXPECT_EQ(m.nonzeros(), 1u);
   const Vector y = m.multiply(Vector(6, 1.0));
   EXPECT_EQ(y, (Vector{0.0, 0.0, 4.5, 0.0, 0.0}));
-  const Vector yt = m.multiply_transpose(Vector(5, 2.0));
-  EXPECT_DOUBLE_EQ(yt[3], 9.0);
   // Pattern row_ptr reflects the empty rows.
   EXPECT_EQ(m.row_ptr()[0], 0u);
   EXPECT_EQ(m.row_ptr()[2], 0u);
@@ -128,7 +111,6 @@ TEST(CsrProperty, OneByOne) {
   b.add(0, 0, 3.0);
   const CsrMatrix m = b.build();
   EXPECT_EQ(m.multiply(Vector{2.0}), (Vector{6.0}));
-  EXPECT_EQ(m.multiply_transpose(Vector{2.0}), (Vector{6.0}));
 }
 
 TEST(SparsityPattern, FromPairsDeduplicatesAndFinds) {
