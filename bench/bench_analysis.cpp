@@ -61,7 +61,6 @@ analyze::AnalyzerOptions make_options(bool conformance, bool race,
   o.race_detection = race;
   o.deadlock_detection = deadlock;
   o.snapshot_stride = stride;
-  o.check_messages = conformance;
   return o;
 }
 

@@ -11,8 +11,7 @@ Analyzer::Analyzer(navm::Runtime& runtime, AnalyzerOptions options)
     : runtime_(runtime),
       os_(runtime.os()),
       options_(options),
-      conformance_(os_, &runtime_, options.snapshot_stride,
-                   options.check_messages, findings_),
+      conformance_(os_, &runtime_, options.snapshot_stride, findings_),
       race_(findings_),
       deadlock_(os_, &runtime_, findings_) {
   os_.set_observer(this);

@@ -32,8 +32,6 @@ struct AnalyzerOptions {
   bool deadlock_detection = true;
   /// Conformance snapshots every Nth engine quiescent point.
   std::size_t snapshot_stride = 64;
-  /// Check each decoded sysvm message against the `message` production.
-  bool check_messages = true;
 };
 
 struct AnalyzerStats {

@@ -14,7 +14,6 @@ constexpr std::size_t kActivityRing = 8;
 
 ConformanceChecker::ConformanceChecker(sysvm::Os& os, navm::Runtime* runtime,
                                        std::size_t snapshot_stride,
-                                       bool check_messages,
                                        std::vector<Finding>& sink)
     : os_(os),
       runtime_(runtime),
@@ -22,8 +21,7 @@ ConformanceChecker::ConformanceChecker(sysvm::Os& os, navm::Runtime* runtime,
       navm_grammar_(spec::navm_grammar()),
       sysvm_grammar_(spec::sysvm_grammar()),
       hw_grammar_(spec::hw_grammar()),
-      snapshot_stride_(snapshot_stride == 0 ? 1 : snapshot_stride),
-      check_messages_(check_messages) {}
+      snapshot_stride_(snapshot_stride == 0 ? 1 : snapshot_stride) {}
 
 void ConformanceChecker::set_grammar(Layer layer, hgraph::Grammar grammar) {
   switch (layer) {
@@ -128,7 +126,6 @@ void ConformanceChecker::snapshot() {
 }
 
 void ConformanceChecker::check_message(const sysvm::Message& message) {
-  if (!check_messages_) return;
   const auto type = static_cast<std::size_t>(sysvm::message_type(message));
   const std::uint64_t seen = messages_seen_[type]++;
   if (seen >= kMessageWarmup && seen % kMessageStride != 0) return;

@@ -22,11 +22,9 @@ namespace fem2::analyze {
 class ConformanceChecker {
  public:
   /// Snapshots every `snapshot_stride`-th quiescent point (0 counts as 1;
-  /// message checks are independent of the stride); `check_messages`
-  /// checks decoded sysvm messages against the `message` production.
+  /// message checks are independent of the stride).
   ConformanceChecker(sysvm::Os& os, navm::Runtime* runtime,
-                     std::size_t snapshot_stride, bool check_messages,
-                     std::vector<Finding>& sink);
+                     std::size_t snapshot_stride, std::vector<Finding>& sink);
 
   /// Replace a layer's grammar (tests seed violations with a stricter
   /// grammar; Layer::Appvm is reserved — app state isn't snapshotted here).
@@ -60,7 +58,6 @@ class ConformanceChecker {
   hgraph::Grammar sysvm_grammar_;
   hgraph::Grammar hw_grammar_;
   std::size_t snapshot_stride_;
-  bool check_messages_;
 
   /// Messages of the same type are structurally near-identical, so after
   /// the first kMessageWarmup of a type, only every kMessageStride-th is

@@ -43,24 +43,20 @@ DofMap build_dof_map(const StructureModel& model) {
 
 namespace {
 
-/// Global full-dof indices of one element's local dofs.
-void element_global_dofs(const Element& element, const DofMap& map,
-                         std::vector<std::size_t>& global) {
-  const std::size_t edof = element_dofs_per_node(element.type);
-  global.resize(element.node_count() * edof);
-  for (std::size_t i = 0; i < element.node_count(); ++i)
-    for (std::size_t d = 0; d < edof; ++d)
-      global[i * edof + d] = map.full_index(element.nodes[i], d);
+/// Model-wide dofs of one element's local dofs.
+void element_model_dofs(const Element& element, std::size_t dofs_per_node,
+                        std::vector<std::size_t>& out) {
+  out.resize(element.dof_count());
+  for (std::size_t local = 0; local < out.size(); ++local)
+    out[local] = element.model_dof(local, dofs_per_node);
 }
-
-}  // namespace
 
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   std::vector<std::size_t> global;
   for (const auto& element : model.elements) {
-    element_global_dofs(element, dofs, global);
+    element_model_dofs(element, dofs.dofs_per_node, global);
     for (const std::size_t gr : global) {
       const std::ptrdiff_t rr = dofs.full_to_reduced[gr];
       if (rr < 0) continue;
@@ -76,74 +72,49 @@ std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
       dofs.free_dofs, dofs.free_dofs, std::move(pairs)));
 }
 
-AssemblyPlan build_assembly_plan(const StructureModel& model) {
-  model.validate();
-  AssemblyPlan plan;
-  plan.dofs = build_dof_map(model);
-  FEM2_CHECK_MSG(plan.dofs.free_dofs > 0, "model is fully constrained");
-  plan.pattern = build_sparsity_pattern(model, plan.dofs);
+}  // namespace
 
-  const DofMap& map = plan.dofs;
-  plan.matrix_begin.reserve(model.elements.size() + 1);
-  plan.rhs_begin.reserve(model.elements.size() + 1);
-  std::vector<std::size_t> global;
-  for (const auto& element : model.elements) {
-    plan.matrix_begin.push_back(plan.matrix.size());
-    plan.rhs_begin.push_back(plan.rhs.size());
-    element_global_dofs(element, map, global);
-    const std::size_t n = global.size();
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::ptrdiff_t rr = map.full_to_reduced[global[r]];
-      if (rr < 0) continue;
-      for (std::size_t c = 0; c < n; ++c) {
-        const auto local = static_cast<std::uint32_t>(r * n + c);
-        const std::ptrdiff_t rc = map.full_to_reduced[global[c]];
-        if (rc >= 0) {
-          const std::size_t offset = plan.pattern->find(
-              static_cast<std::size_t>(rr), static_cast<std::size_t>(rc));
-          FEM2_CHECK(offset != la::SparsityPattern::npos);
-          plan.matrix.push_back({local, offset});
-        } else {
-          // Constrained column: moves to the right-hand side.
-          const double uc = map.prescribed[global[c]];
-          if (uc != 0.0)
-            plan.rhs.push_back({local, static_cast<std::size_t>(rr), uc});
-        }
-      }
-    }
-  }
-  plan.matrix_begin.push_back(plan.matrix.size());
-  plan.rhs_begin.push_back(plan.rhs.size());
-  return plan;
+ReducedFill::ReducedFill(const StructureModel& model) {
+  model.validate();
+  system_.dofs = build_dof_map(model);
+  FEM2_CHECK_MSG(system_.dofs.free_dofs > 0, "model is fully constrained");
+  pattern_ = build_sparsity_pattern(model, system_.dofs);
+  values_.assign(pattern_->nonzeros(), 0.0);
+  system_.rhs_correction.assign(system_.dofs.free_dofs, 0.0);
 }
 
-AssembledSystem assemble_numeric(const StructureModel& model,
-                                 const AssemblyPlan& plan) {
-  FEM2_CHECK(plan.matrix_begin.size() == model.elements.size() + 1);
-  AssembledSystem system;
-  system.dofs = plan.dofs;
-  system.rhs_correction.assign(plan.dofs.free_dofs, 0.0);
-
-  std::vector<double> values(plan.pattern->nonzeros(), 0.0);
-  for (std::size_t e = 0; e < model.elements.size(); ++e) {
-    const la::DenseMatrix k = element_stiffness(model, model.elements[e]);
-    const std::span<const double> kd = k.data();
-    for (std::size_t s = plan.matrix_begin[e]; s < plan.matrix_begin[e + 1];
-         ++s) {
-      const auto& scatter = plan.matrix[s];
-      values[scatter.offset] += kd[scatter.local];
-    }
-    for (std::size_t s = plan.rhs_begin[e]; s < plan.rhs_begin[e + 1]; ++s) {
-      const auto& scatter = plan.rhs[s];
-      system.rhs_correction[scatter.row] += kd[scatter.local] * scatter.coeff;
-    }
+void ReducedFill::add(std::size_t row, std::size_t col, double value) {
+  const DofMap& map = system_.dofs;
+  const std::ptrdiff_t rr = map.full_to_reduced[row];
+  if (rr < 0) return;
+  const std::ptrdiff_t rc = map.full_to_reduced[col];
+  if (rc >= 0) {
+    const std::size_t offset = pattern_->find(static_cast<std::size_t>(rr),
+                                              static_cast<std::size_t>(rc));
+    FEM2_CHECK(offset != la::SparsityPattern::npos);
+    values_[offset] += value;
+  } else if (const double uc = map.prescribed[col]; uc != 0.0) {
+    system_.rhs_correction[static_cast<std::size_t>(rr)] += value * uc;
   }
-  system.stiffness = la::CsrMatrix(plan.pattern, std::move(values));
-  return system;
+}
+
+AssembledSystem ReducedFill::finish() && {
+  system_.stiffness = la::CsrMatrix(std::move(pattern_), std::move(values_));
+  return std::move(system_);
 }
 
 AssembledSystem assemble(const StructureModel& model) {
-  return assemble_numeric(model, build_assembly_plan(model));
+  ReducedFill fill(model);
+  const std::size_t ndof = model.dofs_per_node();
+  std::vector<std::size_t> global;
+  for (const auto& element : model.elements) {
+    const la::DenseMatrix k = element_stiffness(model, element);
+    element_model_dofs(element, ndof, global);
+    for (std::size_t r = 0; r < global.size(); ++r)
+      for (std::size_t c = 0; c < global.size(); ++c)
+        fill.add(global[r], global[c], k(r, c));
+  }
+  return std::move(fill).finish();
 }
 
 std::vector<double> AssembledSystem::load_vector(const LoadSet& loads) const {

@@ -1,14 +1,12 @@
 // Global system assembly: dof numbering, element merge, constraint
 // elimination, and load-set vectors.
 //
-// Assembly is split symbolic/numeric (MiniFE-style): build_assembly_plan
-// walks the mesh once to produce the reduced sparsity pattern and flat
-// per-element scatter maps; assemble_numeric then fills values through
-// the plan with no searching or reallocation.  Re-assembling on the same
-// mesh (load stepping, material updates) reuses the plan.
+// Every assembly, serial or on the machine, ends in one ReducedFill: it
+// builds the reduced sparsity pattern from element connectivity, then
+// element-matrix entries, fed in element order, sum into the pattern's
+// values (or, for prescribed columns, into rhs_correction).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -54,42 +52,29 @@ struct AssembledSystem {
   Displacements expand(std::span<const double> reduced) const;
 };
 
-/// Symbolic half of assembly: reduced sparsity pattern from element
-/// connectivity (structural nonzeros; exact numeric zeros are kept so the
-/// pattern is value-independent).
-std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
-    const StructureModel& model, const DofMap& dofs);
+/// The constraint-eliminating fill.  Entries arrive in the model-wide dof
+/// numbering and in element order (the order fixes every floating-point
+/// sum): free×free entries add into the stiffness, entries in a
+/// prescribed column add value × prescribed into rhs_correction, and rows
+/// of prescribed dofs are dropped.
+class ReducedFill {
+ public:
+  /// Validates `model`, numbers its dofs and builds the reduced pattern
+  /// (structural nonzeros of element connectivity, so it does not depend
+  /// on values).  Throws support::CheckError if every dof is prescribed.
+  explicit ReducedFill(const StructureModel& model);
 
-/// Precomputed scatter maps: where each element-matrix entry lands in the
-/// CSR value array (or, for constrained columns, which rhs row it corrects
-/// and with what prescribed value).
-struct AssemblyPlan {
-  DofMap dofs;
-  std::shared_ptr<const la::SparsityPattern> pattern;
+  void add(std::size_t row, std::size_t col, double value);
 
-  struct MatrixScatter {
-    std::uint32_t local;  ///< r * n + c into the element matrix (row-major)
-    std::size_t offset;   ///< destination in the CSR value array
-  };
-  struct RhsScatter {
-    std::uint32_t local;
-    std::size_t row;      ///< reduced rhs row
-    double coeff;         ///< prescribed value u_c of the constrained column
-  };
-  std::vector<std::size_t> matrix_begin;  ///< per element, size elements + 1
-  std::vector<MatrixScatter> matrix;
-  std::vector<std::size_t> rhs_begin;     ///< per element, size elements + 1
-  std::vector<RhsScatter> rhs;
+  AssembledSystem finish() &&;
+
+ private:
+  AssembledSystem system_;
+  std::shared_ptr<const la::SparsityPattern> pattern_;
+  std::vector<double> values_;
 };
 
-AssemblyPlan build_assembly_plan(const StructureModel& model);
-
-/// Numeric half: element stiffnesses scattered through the plan.  The
-/// result shares the plan's pattern (no index copies).
-AssembledSystem assemble_numeric(const StructureModel& model,
-                                 const AssemblyPlan& plan);
-
-/// One-shot assembly: symbolic plan + numeric fill.
+/// Serial assembly: each element stiffness streamed into a ReducedFill.
 AssembledSystem assemble(const StructureModel& model);
 
 }  // namespace fem2::fem

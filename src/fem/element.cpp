@@ -167,16 +167,14 @@ la::DenseMatrix quad4_stiffness(const StructureModel& model,
 
 /// Element displacement vector in the element's own dof layout, extracted
 /// from the model-wide displacement vector.
-std::vector<double> element_displacements(const StructureModel& model
-                                          [[maybe_unused]],
-                                          const Element& e,
+std::vector<double> element_displacements(const Element& e,
                                           const Displacements& u) {
-  const std::size_t edof = element_dofs_per_node(e.type);
-  std::vector<double> out;
-  out.reserve(e.node_count() * edof);
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    for (std::size_t d = 0; d < edof; ++d)
-      out.push_back(u.at(e.nodes[i], d));
+  std::vector<double> out(e.dof_count());
+  for (std::size_t local = 0; local < out.size(); ++local) {
+    const std::size_t dof = e.model_dof(local, u.dofs_per_node);
+    FEM2_CHECK(dof < u.values.size());
+    out[local] = u.values[dof];
+  }
   return out;
 }
 
@@ -241,7 +239,7 @@ ElementStress element_stress(const StructureModel& model,
       auto [b, area] = tri3_b(model, e);
       (void)area;
       const la::DenseMatrix d = plane_stress_d(m);
-      const auto ue = element_displacements(model, e, u);
+      const auto ue = element_displacements(e, u);
       const auto strain = b.multiply(ue);
       const auto sigma = d.multiply(strain);
       out.sigma_xx = sigma[0];
@@ -254,7 +252,7 @@ ElementStress element_stress(const StructureModel& model,
       auto [b, det] = quad4_b(model, e, 0.0, 0.0);  // centroid
       (void)det;
       const la::DenseMatrix d = plane_stress_d(m);
-      const auto ue = element_displacements(model, e, u);
+      const auto ue = element_displacements(e, u);
       const auto strain = b.multiply(ue);
       const auto sigma = d.multiply(strain);
       out.sigma_xx = sigma[0];

@@ -36,6 +36,16 @@ struct Element {
   std::size_t material = 0;
 
   std::size_t node_count() const { return element_node_count(type); }
+  /// Local dofs, node-major: node 0's dofs, then node 1's, ...
+  std::size_t dof_count() const {
+    return node_count() * element_dofs_per_node(type);
+  }
+  /// Model-wide dof of local dof `local` when the model numbers
+  /// `dofs_per_node` dofs per node.
+  std::size_t model_dof(std::size_t local, std::size_t dofs_per_node) const {
+    const std::size_t edof = element_dofs_per_node(type);
+    return nodes[local / edof] * dofs_per_node + local % edof;
+  }
 };
 
 struct Material {

@@ -13,20 +13,13 @@ namespace fem2::fem {
 
 namespace {
 
-/// Free (reduced) dof indices touched by one element.
-std::vector<std::size_t> element_free_dofs(const StructureModel& model
-                                           [[maybe_unused]],
-                                           const DofMap& map,
-                                           const Element& element) {
-  std::vector<std::size_t> out;
-  const std::size_t edof = element_dofs_per_node(element.type);
-  for (std::size_t i = 0; i < element.node_count(); ++i) {
-    for (std::size_t d = 0; d < edof; ++d) {
-      const std::ptrdiff_t r =
-          map.full_to_reduced[map.full_index(element.nodes[i], d)];
-      if (r >= 0) out.push_back(static_cast<std::size_t>(r));
-    }
-  }
+/// Reduced dof of each local dof of one element (-1 where prescribed).
+std::vector<std::ptrdiff_t> element_reduced_dofs(const DofMap& map,
+                                                 const Element& element) {
+  std::vector<std::ptrdiff_t> out(element.dof_count());
+  for (std::size_t local = 0; local < out.size(); ++local)
+    out[local] =
+        map.full_to_reduced[element.model_dof(local, map.dofs_per_node)];
   return out;
 }
 
@@ -164,19 +157,19 @@ SubstructureProblem prepare_substructures(
 
   // Which substructures touch each reduced dof.
   std::vector<std::uint32_t> touch_count(n, 0);
-  std::vector<std::uint32_t> touch_first(n, 0);
   std::vector<std::vector<std::size_t>> sub_dofs(s_count);
   {
     std::vector<std::uint8_t> seen(n, 0);
     for (std::size_t s = 0; s < s_count; ++s) {
       std::fill(seen.begin(), seen.end(), 0);
       for (const std::size_t e : partition.element_groups[s]) {
-        for (const std::size_t d :
-             element_free_dofs(model, map, model.elements[e])) {
+        for (const std::ptrdiff_t r :
+             element_reduced_dofs(map, model.elements[e])) {
+          if (r < 0) continue;
+          const auto d = static_cast<std::size_t>(r);
           if (!seen[d]) {
             seen[d] = 1;
             sub_dofs[s].push_back(d);
-            if (touch_count[d] == 0) touch_first[d] = static_cast<std::uint32_t>(s);
             touch_count[d] += 1;
           }
         }
@@ -233,14 +226,9 @@ SubstructureProblem prepare_substructures(
     for (const std::size_t e : partition.element_groups[s]) {
       const Element& element = model.elements[e];
       const la::DenseMatrix k = element_stiffness(model, element);
-      const std::size_t edof = element_dofs_per_node(element.type);
-      const std::size_t en = element.node_count() * edof;
-      std::vector<std::ptrdiff_t> reduced(en, -1);
-      for (std::size_t i = 0; i < element.node_count(); ++i)
-        for (std::size_t d = 0; d < edof; ++d)
-          reduced[i * edof + d] =
-              map.full_to_reduced[map.full_index(element.nodes[i], d)];
-
+      const std::vector<std::ptrdiff_t> reduced =
+          element_reduced_dofs(map, element);
+      const std::size_t en = reduced.size();
       for (std::size_t r = 0; r < en; ++r) {
         if (reduced[r] < 0) continue;
         const std::size_t rd = static_cast<std::size_t>(reduced[r]);

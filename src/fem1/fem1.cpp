@@ -35,22 +35,36 @@ bool are_grid_neighbors(std::size_t p, std::size_t q, GridShape shape) {
   return dr <= 1 && dc <= 1 && !(dr == 0 && dc == 0);
 }
 
+/// Static assignment cannot route around failures.
+bool stalls(const Fem1Config& config) {
+  return config.failed_processors > 0 && !config.manual_repartition;
+}
+
 }  // namespace
 
-Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
-                      const Fem1Config& config, Fem1Solver solver,
-                      double tolerance, std::size_t max_iterations) {
+Fem1Relaxation fem1_relax(const la::CsrMatrix& k, std::span<const double> rhs,
+                          Fem1Solver solver, double tolerance,
+                          std::size_t max_iterations) {
   FEM2_CHECK(k.rows() == k.cols());
   FEM2_CHECK(rhs.size() == k.rows());
+  la::SolveOptions iter_options;
+  iter_options.tolerance = tolerance;
+  iter_options.max_iterations = max_iterations;
+  iter_options.sor_omega = 1.0;
+  const la::SolveResult numeric =
+      solver == Fem1Solver::Jacobi ? la::jacobi(k, rhs, iter_options)
+                                   : la::sor(k, rhs, iter_options);
+  return {numeric.report.converged, numeric.report.iterations,
+          numeric.report.residual_norm};
+}
+
+Fem1Result fem1_cost(const la::CsrMatrix& k, const Fem1Relaxation& relaxation,
+                     const Fem1Config& config) {
+  FEM2_CHECK(k.rows() == k.cols());
   FEM2_CHECK(config.processors > 0);
 
   Fem1Result out;
-
-  // Static assignment cannot route around failures.
-  if (config.failed_processors > 0 && !config.manual_repartition) {
-    out.completed = false;
-    return out;
-  }
+  if (stalls(config)) return out;
   FEM2_CHECK_MSG(config.failed_processors < config.processors,
                  "no surviving processors");
   const std::size_t p_eff = config.processors - config.failed_processors;
@@ -115,20 +129,11 @@ Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
   const hw::Cycles sweep_time =
       slowest + bus_time + config.sweep_sync_overhead;
 
-  // --- run the relaxation numerically to count sweeps -----------------------
-  la::SolveOptions iter_options;
-  iter_options.tolerance = tolerance;
-  iter_options.max_iterations = max_iterations;
-  iter_options.sor_omega = 1.0;
-  const la::SolveResult numeric =
-      solver == Fem1Solver::Jacobi ? la::jacobi(k, rhs, iter_options)
-                                   : la::sor(k, rhs, iter_options);
-
   out.completed = true;
-  out.converged = numeric.report.converged;
-  out.iterations = numeric.report.iterations;
-  out.residual = numeric.report.residual_norm;
-  out.elapsed = sweep_time * numeric.report.iterations;
+  out.converged = relaxation.converged;
+  out.iterations = relaxation.iterations;
+  out.residual = relaxation.residual;
+  out.elapsed = sweep_time * relaxation.iterations;
   if (config.manual_repartition && config.failed_processors > 0)
     out.elapsed += config.repartition_cost;
   out.link_messages = 0;
@@ -147,6 +152,16 @@ Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
           ? static_cast<double>(compute_total * out.iterations) / denom
           : 0.0;
   return out;
+}
+
+Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
+                      const Fem1Config& config, Fem1Solver solver,
+                      double tolerance, std::size_t max_iterations) {
+  const Fem1Relaxation relaxation =
+      stalls(config)
+          ? Fem1Relaxation{}
+          : fem1_relax(k, rhs, solver, tolerance, max_iterations);
+  return fem1_cost(k, relaxation, config);
 }
 
 Fem1Result fem1_solve_model(const fem::StructureModel& model,

@@ -63,7 +63,30 @@ struct Fem1Result {
 
 enum class Fem1Solver { Jacobi, GaussSeidel };
 
-/// Solve the reduced system on the FEM-1 model.
+/// The numeric relaxation alone: its sweep count depends only on the
+/// system, the solver, the tolerance and the iteration limit, so one
+/// relaxation serves every Fem1Config.
+struct Fem1Relaxation {
+  bool converged = false;
+  std::size_t iterations = 0;
+  double residual = 0.0;
+};
+
+Fem1Relaxation fem1_relax(const la::CsrMatrix& stiffness,
+                          std::span<const double> rhs,
+                          Fem1Solver solver = Fem1Solver::Jacobi,
+                          double tolerance = 1e-10,
+                          std::size_t max_iterations = 200'000);
+
+/// Machine cost of `relaxation` on the array `config` describes.  A
+/// stalled array (failed processors, no repartition) does not complete
+/// and ignores `relaxation`.
+Fem1Result fem1_cost(const la::CsrMatrix& stiffness,
+                     const Fem1Relaxation& relaxation,
+                     const Fem1Config& config);
+
+/// Solve the reduced system on the FEM-1 model: fem1_cost of fem1_relax
+/// (a stalled array never relaxes).
 Fem1Result fem1_solve(const la::CsrMatrix& stiffness,
                       std::span<const double> rhs, const Fem1Config& config,
                       Fem1Solver solver = Fem1Solver::Jacobi,

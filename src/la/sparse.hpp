@@ -4,9 +4,8 @@
 //  * TripletBuilder — one-shot: accumulate (row, col, value) triplets
 //    (duplicates sum, as element contributions do) and compress.
 //  * SparsityPattern + a value array — symbolic-then-numeric: the pattern
-//    (row_ptr / col_idx) is built once per mesh and shared between every
-//    numeric fill, so per-step assembly touches only the values.  This is
-//    the MiniFE-style split fem::AssemblyPlan uses.
+//    (row_ptr / col_idx) comes from the structure alone, and values are
+//    added at its find() offsets.  fem::ReducedFill assembles this way.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +20,8 @@
 namespace fem2::la {
 
 /// Immutable CSR index structure: row pointers plus per-row sorted, unique
-/// column indices.  Shared (via shared_ptr) between every matrix assembled
-/// on the same mesh, so repeated numeric fills copy no index data.
+/// column indices.  Shared (via shared_ptr) between copies of a matrix,
+/// so copying a CsrMatrix copies no index data.
 class SparsityPattern {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -8,6 +8,7 @@
 // preconditioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -307,13 +308,15 @@ TEST(SolverEquivalence, DistributedCgMatchesHostSolvers) {
 }
 
 TEST(SolverEquivalence, ParallelAssemblyBitwiseMatchesSerial) {
-  // The symbolic-pattern fill makes the host merge accumulate in exactly
-  // the serial element order: the assembled values must be bitwise equal.
+  // Both paths feed the same fill in the same element order: the
+  // assembled values and the prescribed-displacement correction must be
+  // bitwise equal.
   fem::PlateMeshOptions options;
   options.nx = 8;
   options.ny = 4;
   options.material = soft_material();
-  const auto model = fem::make_cantilever_plate(options, 5.0);
+  auto model = fem::make_cantilever_plate(options, 5.0);
+  model.add_constraint(model.nodes.size() - 1, 0, 0.02);
 
   const auto serial = fem::assemble(model);
   Fem2Stack stack;
@@ -326,6 +329,25 @@ TEST(SolverEquivalence, ParallelAssemblyBitwiseMatchesSerial) {
   ASSERT_EQ(parallel.rhs_correction.size(), serial.rhs_correction.size());
   for (std::size_t i = 0; i < serial.rhs_correction.size(); ++i)
     EXPECT_EQ(parallel.rhs_correction[i], serial.rhs_correction[i]);
+  EXPECT_TRUE(std::any_of(serial.rhs_correction.begin(),
+                          serial.rhs_correction.end(),
+                          [](double v) { return v != 0.0; }));
+}
+
+TEST(SolverEquivalence, FullyConstrainedModelIsRejectedByBothPaths) {
+  fem::PlateMeshOptions options;
+  options.nx = 8;
+  options.ny = 4;
+  options.material = soft_material();
+  auto model = fem::make_cantilever_plate(options, 5.0);
+  for (std::size_t node = 0; node < model.nodes.size(); ++node)
+    model.fix_node(node);
+
+  EXPECT_THROW((void)fem::assemble(model), support::CheckError);
+  Fem2Stack stack;
+  fem::register_assembly_tasks(stack.runtime);
+  EXPECT_THROW((void)fem::assemble_parallel(model, stack.runtime, 4),
+               support::CheckError);
 }
 
 }  // namespace

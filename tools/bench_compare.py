@@ -13,6 +13,9 @@ Policy, matching the determinism story of the simulator:
   * simulated metrics (unit "cycles", "msgs", "bytes", "iters", "steps",
     "nodes") are deterministic — any regression > --threshold (default
     25%) against the baseline FAILS the run; improvements are reported.
+    Every simulated row that moves at all prints one line (FAIL, note,
+    or `diff` below the threshold), and the summary counts them, so "no
+    simulated metric moved" reads as "0 simulated diffs".
   * host-side metrics ("ms", "commits/s") are hardware-dependent — they
     only WARN, never fail.
   * missing metrics WARN in both directions: a current metric absent
@@ -69,8 +72,8 @@ def rows_by_metric(report: dict) -> dict[str, dict]:
 
 
 def compare(reports: dict[str, dict], baseline: dict[str, dict],
-            threshold: float) -> tuple[int, int]:
-    failures = warnings = 0
+            threshold: float) -> tuple[int, int, int]:
+    failures = warnings = diffs = 0
     for experiment, report in sorted(reports.items()):
         if report is None:
             failures += 1
@@ -93,11 +96,16 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
                 warnings += 1
                 continue
             old, new = base_row["value"], row["value"]
-            if old == 0:
-                continue
-            ratio = new / old
             unit = row.get("unit", "")
             simulated = unit in SIMULATED_UNITS
+            if simulated and new != old:
+                diffs += 1
+            if old == 0:
+                if simulated and new != old:
+                    print(f"diff  {experiment}/{metric}: {old:g} -> {new:g} "
+                          f"{unit}")
+                continue
+            ratio = new / old
             if ratio > 1.0 + threshold:
                 kind = "FAIL " if simulated else "warn "
                 print(f"{kind} {experiment}/{metric}: {old:g} -> {new:g} "
@@ -109,10 +117,13 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
             elif ratio < 1.0 - threshold:
                 print(f"note  {experiment}/{metric}: {old:g} -> {new:g} "
                       f"{unit} ({100 * (ratio - 1):.1f}%, improvement)")
+            elif simulated and new != old:
+                print(f"diff  {experiment}/{metric}: {old:g} -> {new:g} "
+                      f"{unit} ({100 * (ratio - 1):+.1f}%)")
     for experiment in sorted(baseline.keys() - reports.keys()):
         print(f"warn  {experiment}: in baseline but no current report")
         warnings += 1
-    return failures, warnings
+    return failures, warnings, diffs
 
 
 def main() -> int:
@@ -157,9 +168,10 @@ def main() -> int:
     if args.only:
         baseline = {k: v for k, v in baseline.items() if k in reports}
 
-    failures, warnings = compare(reports, baseline, args.threshold)
+    failures, warnings, diffs = compare(reports, baseline, args.threshold)
     print(f"\n{len(reports)} reports, {failures} failures, "
-          f"{warnings} warnings (threshold {args.threshold:.0%})")
+          f"{warnings} warnings, {diffs} simulated diffs "
+          f"(threshold {args.threshold:.0%})")
     return 1 if failures else 0
 
 
